@@ -13,7 +13,7 @@ import sys
 from . import gradcheck, memory
 from .adapters import Mode, init_adapter
 from .equivalence import estimate_unbiasedness, subspace_check, verify_sgd_equivalence
-from .errors import LorafaError, NumericsError, ReconciliationError
+from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
 from .model import ModelConfig, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
 from .serialize import dumps_canonical, load_json
@@ -92,6 +92,8 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = json.loads(json.dumps(_RUN_DEFAULTS))  # deep copy
     if args.config:
         file_cfg = load_json(args.config)
+        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("model", {}), dict):
+            raise ParameterError("config file must hold a JSON object; its 'model' too")
         model_part = file_cfg.pop("model", {})
         cfg["model"].update(model_part)
         cfg.update(file_cfg)

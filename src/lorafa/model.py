@@ -319,7 +319,9 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     targets = np.asarray(targets)
     if targets.shape != tokens.shape:
         raise DimensionError("targets must match tokens shape")
-    if targets.max() >= model.config.vocab:
+    # IGNORE_TARGET (-1) is the only valid negative id; anything below it
+    # would silently index from the end of the vocabulary.
+    if targets.min() < IGNORE_TARGET or targets.max() >= model.config.vocab:
         raise DataError("target id out of range")
     mask = targets != IGNORE_TARGET
     count = int(mask.sum())

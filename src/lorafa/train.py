@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,9 @@ class RunConfig:
             raise ParameterError("steps must be >= 0")
         if not self.lr > 0:
             raise ParameterError("lr must be positive")
+        for name in ("weight_decay", "warmup_steps", "equiv_every"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -53,9 +56,17 @@ class RunConfig:
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         d = dict(d)
+        _reject_unknown_keys(d, RunConfig)
+        _reject_unknown_keys(d["model"], ModelConfig)
         d["model"] = ModelConfig(**d["model"])
         d["mode"] = Mode(d["mode"])
         return RunConfig(**d)
+
+
+def _reject_unknown_keys(d: dict, cls) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParameterError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
 
 
 @dataclass

@@ -63,6 +63,27 @@ def test_config_error_exit_code(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("file_cfg,named", [
+    ({"steps": 1, "lr_decay": 0.5}, "lr_decay"),
+    ({"model": {"depth": 2}}, "depth"),
+    ([1, 2], "JSON object"),
+    ({"model": 5}, "JSON object"),
+])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, file_cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(file_cfg))
+    code, _, err = run_cli(capsys, "train", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert named in err
+
+
+@pytest.mark.parametrize("flag", ["--equiv-every", "--warmup-steps", "--weight-decay"])
+def test_negative_run_flag_is_config_error(capsys, flag):
+    code, _, err = run_cli(capsys, "train", "--steps", "1", flag, "-1")
+    assert code == EXIT_CONFIG
+    assert "must be >= 0" in err
+
+
 def test_sweep_outputs(tmp_path, capsys):
     prefix = tmp_path / "grid"
     code, out, _ = run_cli(

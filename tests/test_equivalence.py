@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lorafa import ops
 from lorafa.adapters import AdaptedLinear, Mode, init_adapter
 from lorafa.equivalence import (
+    RANK_FROM_COEFF_RESIDUAL,
     compress_decompress,
     estimate_unbiasedness,
     rbar,
@@ -152,6 +154,51 @@ def test_subspace_residual_outside_column_space():
     a = randn((12, 2), rng)
     rep = subspace_check(a, randn((12, 6), rng))
     assert rep.residual > 0.5  # random matrix is mostly off a rank-2 subspace
+    assert rep.numerical_rank == 6  # the off-subspace part counts towards the rank
+
+
+def _factored_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix subspace_check hands to numerical_rank."""
+    shapes = []
+    real = ops.numerical_rank
+
+    def spy(m, *args, **kw):
+        shapes.append(m.shape)
+        return real(m, *args, **kw)
+
+    monkeypatch.setattr(ops, "numerical_rank", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("d_in,d_out", [(64, 64), (64, 256), (256, 64)])
+@pytest.mark.parametrize("live_rows", [8, 3])
+def test_subspace_rank_from_coefficients_matches_full(monkeypatch, d_in, d_out, live_rows):
+    # PARITY_MODEL layer shapes at r = 8; live_rows = 3 is a rank-deficient dB
+    rng = RngState(12)
+    layer = init_adapter(d_in, d_out, 8, None, Mode.LORA_FA, rng)
+    db = np.zeros((8, d_out))
+    db[:live_rows] = randn((live_rows, d_out), rng)
+    delta = layer.alpha * (layer.a @ db)
+    shapes = _factored_shapes(monkeypatch)
+    rep = subspace_check(layer.a, delta)
+    assert shapes == [(8, d_out)]  # rank taken from Q^T dW
+    assert rep.numerical_rank == numerical_rank(delta) == live_rows
+
+
+@pytest.mark.parametrize("factor,full_path", [(0.5, False), (2.0, True)])
+def test_subspace_rank_path_follows_residual_gate(monkeypatch, factor, full_path):
+    rng = RngState(13)
+    a = randn((64, 8), rng)
+    inside = a @ randn((8, 32), rng)
+    perp = randn((64, 32), rng)
+    perp -= a @ np.linalg.lstsq(a, perp, rcond=None)[0]
+    target = factor * RANK_FROM_COEFF_RESIDUAL
+    delta = inside + perp * (target * np.linalg.norm(inside) / np.linalg.norm(perp))
+    shapes = _factored_shapes(monkeypatch)
+    rep = subspace_check(a, delta)
+    assert rep.residual == pytest.approx(target, rel=1e-2)
+    assert shapes == [delta.shape if full_path else (8, 32)]
+    assert rep.numerical_rank == 8  # the off part sits far below the rank threshold
 
 
 def test_rbar_reconstructs_delta():

@@ -91,6 +91,16 @@ def test_token_id_out_of_range():
         forward_loss(m, tokens, targets)
 
 
+@pytest.mark.parametrize("bad", [-2, CFG.vocab])
+def test_target_id_out_of_range(bad):
+    # -1 is IGNORE_TARGET; -2 must not wrap round to the last vocabulary entry
+    m = build_model(CFG, Mode.FROZEN, rng=RngState(1))
+    tokens, targets = data(4)
+    targets[0, 0] = bad
+    with pytest.raises(DataError):
+        forward_loss(m, tokens, targets)
+
+
 def test_causality():
     m = build_model(CFG, Mode.FT, rng=RngState(8))
     tokens, _ = data(11)

@@ -85,6 +85,13 @@ def test_equivalence_snapshots_recorded():
     assert all(e["max_numerical_rank"] <= 2 for e in rep.equivalence)
 
 
+def test_equivalence_snapshot_rank_exact_every_step():
+    rep = train_run(small_cfg(steps=5, equiv_every=1))
+    assert [e["step"] for e in rep.equivalence] == [1, 2, 3, 4, 5]
+    assert all(e["pass"] for e in rep.equivalence)
+    assert all(e["max_numerical_rank"] == 2 for e in rep.equivalence)
+
+
 def test_warmup_changes_trajectory():
     a = train_run(small_cfg(steps=10))
     b = train_run(small_cfg(steps=10, warmup_steps=5))
@@ -99,6 +106,11 @@ def test_config_validation():
         small_cfg(steps=-1)
     with pytest.raises(ParameterError):
         small_cfg(lr=0.0)
+    for name in ("equiv_every", "warmup_steps", "weight_decay"):
+        with pytest.raises(ParameterError):
+            small_cfg(**{name: -1})
+    with pytest.raises(ParameterError):
+        RunConfig.from_dict({**small_cfg().to_dict(), "lr_decay": 0.5})
 
 
 def test_config_dict_roundtrip():
