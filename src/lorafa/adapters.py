@@ -86,7 +86,8 @@ class AdaptedLinear:
 
     y = x @ W + alpha * (x @ A) @ B  when an adapter is present, else x @ W.
     Bias terms are omitted. A is d_in x r (projection down), B is r x d_out
-    (projection up); alpha defaults to 1/r.
+    (projection up); alpha defaults to 1/r and is kept as a Python float, so
+    scaling by it never promotes the layer's dtype.
     """
 
     def __init__(
@@ -102,7 +103,7 @@ class AdaptedLinear:
         self.a = a
         self.b = b
         self.rank = rank
-        self.alpha = alpha
+        self.alpha = float(alpha)
         self.mode = mode
 
     @property
@@ -174,12 +175,19 @@ def forward(layer: AdaptedLinear, x: np.ndarray):
     x_low = None
     if layer.mode.has_adapter:
         x_low = matmul(x, layer.a)
-        y = ensure_finite(y + layer.alpha * matmul(x_low, layer.b), "adapter forward")
+        y = ensure_finite(_add_branch(y, layer.alpha, matmul(x_low, layer.b)), "adapter forward")
     kept = RetainedActivations(
         x_full=x if layer.mode.retains_full_input else None,
         x_low=x_low,
     )
     return y, kept
+
+
+def _add_branch(y: np.ndarray, alpha: float, branch: np.ndarray) -> np.ndarray:
+    """y + alpha * branch, in the buffers of y and branch (fresh products owned
+    by the caller) unless branch's dtype would promote y's."""
+    branch *= alpha
+    return np.add(y, branch, out=y if y.dtype == branch.dtype else None)
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -203,10 +211,8 @@ def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
         )
     dx = matmul(dy, layer.w.T)
     if layer.mode.has_adapter:
-        dx = ensure_finite(
-            dx + layer.alpha * matmul(matmul(dy, layer.b.T), layer.a.T),
-            "adapter backward",
-        )
+        branch = matmul(matmul(dy, layer.b.T), layer.a.T)
+        dx = ensure_finite(_add_branch(dx, layer.alpha, branch), "adapter backward")
     grads: dict[str, np.ndarray] = {}
     dy2 = _fold(dy)
     if layer.mode is Mode.FT:

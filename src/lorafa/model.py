@@ -14,6 +14,7 @@ no dropout. Bias terms are omitted everywhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,19 @@ from .errors import DataError, DimensionError, NumericsError, ParameterError
 from .rng import RngState, derive, randn
 
 IGNORE_TARGET = -1
+
+
+def require_number(name: str, value, integral: bool = False) -> None:
+    """ParameterError unless value is a real number (an integer if integral).
+
+    Config values arrive from JSON files, so a quoted "5" or a true must end
+    in a config error, not in a TypeError from the first comparison.
+    """
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParameterError(
+            f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}"
+        )
 
 
 @dataclass
@@ -43,6 +57,7 @@ class ModelConfig:
         if self.d_ff is None:
             self.d_ff = 4 * self.d
         for name in ("d", "n_layers", "n_heads", "vocab", "seq_len", "batch_size", "d_ff"):
+            require_number(name, getattr(self, name), integral=True)
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
         if self.d % self.n_heads != 0:
@@ -246,10 +261,12 @@ def _block_forward(model, i: int, block: Block, x: np.ndarray, tape: Tape) -> np
     tape.retain_kept(f"{pre}.attn_v", kept_v)
 
     qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
-    scores = (qh @ np.swapaxes(kh, -1, -2)) / np.sqrt(dh)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores /= np.sqrt(dh)
     s_len = x.shape[1]
-    causal = np.tril(np.ones((s_len, s_len), dtype=bool))
-    probs = ops.softmax_rows(np.where(causal, scores, -np.inf))
+    future = np.triu(np.ones((s_len, s_len), dtype=bool), 1)
+    np.copyto(scores, -np.inf, where=future)
+    probs = ops.softmax_rows(scores)
     for key, arr in (("attn_q_heads", qh), ("attn_k_heads", kh),
                      ("attn_v_heads", vh), ("attn_probs", probs)):
         tape.retain("other", f"{pre}.{key}", arr)
@@ -257,7 +274,9 @@ def _block_forward(model, i: int, block: Block, x: np.ndarray, tape: Tape) -> np
     ctx = _merge_heads(probs @ vh)
     attn_out, kept_o = adapters.forward(block.attn_o, ctx)
     tape.retain_kept(f"{pre}.attn_o", kept_o)
-    x = x + attn_out
+    # Residual adds land in the branch output's buffer, which nothing retains.
+    attn_out += x
+    x = attn_out
 
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     tape.retain("other", f"{pre}.ln2", xh2)
@@ -268,7 +287,8 @@ def _block_forward(model, i: int, block: Block, x: np.ndarray, tape: Tape) -> np
     tape.retain("other", f"{pre}.gelu", f1)
     f2, kept_f2 = adapters.forward(block.ffn2, g)
     tape.retain_kept(f"{pre}.ffn2", kept_f2)
-    x = x + f2
+    f2 += x
+    x = f2
 
     tape.block_caches.append(
         BlockCache(
@@ -314,10 +334,12 @@ def forward_logits(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
 
 
 def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarray):
-    """Mean cross-entropy over supervised positions (targets of -1 are ignored)."""
-    logits, tape = _forward(model, tokens)
+    """Mean cross-entropy over supervised positions (targets of -1 are ignored).
+
+    Targets are validated before the forward pass, so a bad batch costs none.
+    """
     targets = np.asarray(targets)
-    if targets.shape != tokens.shape:
+    if targets.shape != np.shape(tokens):
         raise DimensionError("targets must match tokens shape")
     # IGNORE_TARGET (-1) is the only valid negative id; anything below it
     # would silently index from the end of the vocabulary.
@@ -327,11 +349,14 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     count = int(mask.sum())
     if count == 0:
         raise DataError("no supervised positions in targets")
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    log_probs = shifted - logz
+    logits, tape = _forward(model, tokens)
+    # log_probs = (logits - max) - logz and probs = exp(log_probs), in the
+    # logits' buffer and one more (which first holds exp(logits - max)).
+    log_probs = logits
+    log_probs -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(log_probs)
+    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
+    np.exp(log_probs, out=probs)
     tape.loss_probs = probs
     tape.loss_mask = mask
     tape.loss_count = count
@@ -359,7 +384,7 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dh2, g_f1 = adapters.backward(block.ffn1, cache.kept_f1, df1)
     _store(grads, f"{pre}.ffn1", g_f1)
     dx_mid, dg2, db2 = ops.layer_norm_vjp(cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2)
-    dx_mid = dx + dx_mid
+    dx_mid += dx
     if ft:
         grads[f"{pre}.ln2.gamma"] = dg2
         grads[f"{pre}.ln2.beta"] = db2
@@ -370,7 +395,8 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dctx_h = _split_heads(dctx, nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
     dvh = np.swapaxes(cache.probs, -1, -2) @ dctx_h
-    dscores = ops.softmax_rows_vjp(cache.probs, dprobs) / np.sqrt(dh)
+    dscores = ops.softmax_rows_vjp(cache.probs, dprobs)
+    dscores /= np.sqrt(dh)
     dqh = dscores @ cache.kh
     dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
     dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
@@ -380,10 +406,10 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     _store(grads, f"{pre}.attn_q", g_q)
     _store(grads, f"{pre}.attn_k", g_k)
     _store(grads, f"{pre}.attn_v", g_v)
-    dx_in, dg1, db1 = ops.layer_norm_vjp(
-        cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q + dh1_k + dh1_v
-    )
-    dx_in = dx_mid + dx_in
+    dh1_q += dh1_k
+    dh1_q += dh1_v
+    dx_in, dg1, db1 = ops.layer_norm_vjp(cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q)
+    dx_in += dx_mid
     if ft:
         grads[f"{pre}.ln1.gamma"] = dg1
         grads[f"{pre}.ln1.beta"] = db1
@@ -425,7 +451,7 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     if ft:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)
-        grads["tok_emb"] = grads["tok_emb"] + dtok
+        grads["tok_emb"] += dtok
         dpos = np.zeros_like(model.pos_emb)
         dpos[: tape.s] = dx.sum(axis=0)
         grads["pos_emb"] = dpos

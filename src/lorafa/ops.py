@@ -5,6 +5,20 @@ validates shapes up front and checks its output for NaN/Inf, which is
 treated as an error state rather than a value. Backward rules are paired
 functions taking exactly the tensors the forward pass retained; the
 ``vjp`` dispatcher exposes them uniformly for the gradient-check harness.
+
+No operation writes into its arguments: the tape retains forward inputs
+and outputs for backward. The elementwise kernels (GeLU, layer norm,
+softmax) instead write each intermediate into a buffer they allocated
+themselves, with ``out=``, applying the same operations in the same order
+and association as the plain numpy expression, so results are bit for bit
+the same, dtypes included; a buffer is reused only where its dtype is the
+one numpy promotion gives that intermediate. GeLU and its vjp, whose
+chains of a dozen passes over a multi-MB activation would otherwise
+stream through memory, run over flat blocks of ``BLOCK`` elements sized
+to stay in L2; inputs up to one block take a single pass. Layer norm and
+softmax are not blocked: their row reductions (and the whole-array column
+sums of dgamma/dbeta, whose summation order blocking would change) see
+the whole array, and their arrays are small enough to stay cached.
 """
 
 from __future__ import annotations
@@ -18,14 +32,20 @@ from .errors import DimensionError, NumericsError, ParameterError
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
+# Elements per pass of the blocked GeLU kernels: 16,384 float64 values are
+# 128 KB, so one block of each operand and scratch row stays in a core's L2.
+BLOCK = 16_384
+
 # Relative threshold on pivoted-QR diagonals when counting numerical rank.
 RANK_REL_TOL = 1e-8
 
 
 def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
-    # sum() is NaN/Inf-propagating and cheaper than isfinite().all(); float64
+    # The sum is NaN/Inf-propagating and cheaper than isfinite().all(); float64
     # headroom makes spurious overflow of the sum itself a non-issue here.
-    if not np.isfinite(np.sum(x)):
+    # np.add.reduce is np.sum without its Python-level dispatch, which costs
+    # more than the reduction on the tiny arrays of the gradient checks.
+    if not np.isfinite(np.add.reduce(x, axis=None)):
         raise NumericsError(f"{what} contains NaN or Inf")
     return x
 
@@ -95,22 +115,83 @@ def elementwise(kind: str, *args):
     return table[kind](*args)
 
 
+def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:
+    """Run ``kernel(*arrays, *scratch)`` over aligned pieces of same-shape arrays.
+
+    Up to BLOCK elements that is one call on the whole arrays; above it, one
+    call per flat block of BLOCK elements, all blocks sharing one scratch
+    row per dtype, so a kernel's chain of in-place ufuncs stays in cache.
+    """
+    n = arrays[0].size
+    if n <= BLOCK:
+        kernel(*arrays, *[np.empty(arrays[0].shape, dt) for dt in scratch_dtypes])
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    scratch = [np.empty(BLOCK, dt) for dt in scratch_dtypes]
+    for lo in range(0, n, BLOCK):
+        k = min(BLOCK, n - lo)
+        kernel(*[f[lo : lo + k] for f in flat], *[s[:k] for s in scratch])
+
+
+# The GeLU kernels pass ``out`` positionally: on the tiny inputs of the
+# gradient checks the keyword form costs a measurable share of each call.
+
+def _gelu_kernel(x, out, w):
+    # out = 0.5 x (1 + tanh(c (x + a (x^2 x)))); w holds x-dtype temporaries.
+    np.multiply(x, x, w)
+    np.multiply(w, x, w)
+    np.multiply(w, _GELU_A, w)
+    np.add(x, w, w)
+    np.multiply(_GELU_C, w, out)
+    np.tanh(out, out)
+    np.add(out, 1.0, out)
+    np.multiply(0.5, x, w)
+    np.multiply(out, w, out)
+
+
+def _gelu_vjp_kernel(x, upstream, out, x2, w, t, s):
+    # out = (0.5 (1 + t) + (0.5 c) x (1 - t t) (1 + 3a x2)) * upstream,
+    # t = tanh(c (x + a (x2 x))); x2 and w take x's dtype, t and s out's.
+    np.multiply(x, x, x2)
+    np.multiply(x2, x, w)
+    np.multiply(w, _GELU_A, w)
+    np.add(x, w, w)
+    np.multiply(_GELU_C, w, t)
+    np.tanh(t, t)
+    np.multiply(0.5 * _GELU_C, x, out)
+    np.multiply(t, t, s)
+    np.subtract(1.0, s, s)
+    np.multiply(out, s, out)
+    np.multiply(x2, 3.0 * _GELU_A, x2)
+    np.add(x2, 1.0, x2)
+    np.multiply(out, x2, out)
+    np.add(t, 1.0, t)
+    np.multiply(t, 0.5, t)
+    np.add(t, out, out)
+    np.multiply(out, upstream, out)
+
+
+def _gelu_result_dtype(x: np.ndarray):
+    """The plain expression's result dtype: x + a x^3 stays in x's dtype, and
+    the float64 constant c promotes everything computed after it."""
+    return np.promote_types(_GELU_C.dtype, x.dtype)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """GeLU, tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
-    t += 1.0
-    t *= 0.5 * x
-    return ensure_finite(t, "gelu")
+    out = np.empty(x.shape, _gelu_result_dtype(x))
+    _blockwise(_gelu_kernel, (x, out), (x.dtype,))
+    return ensure_finite(out, "gelu")
 
 
 def gelu_vjp(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
     # d/dx [0.5 x (1+t)] = 0.5 (1+t) + 0.5 x (1-t^2) * c (1 + 3a x^2)
-    grad = 0.5 * (1.0 + t) + (0.5 * _GELU_C) * x * (1.0 - t * t) * (1.0 + 3.0 * _GELU_A * x2)
-    grad *= upstream
-    return ensure_finite(grad, "gelu vjp")
+    out_dt = _gelu_result_dtype(x)
+    out = np.empty(x.shape, out_dt)
+    if np.shape(upstream) != x.shape:
+        upstream = np.broadcast_to(upstream, x.shape)
+    _blockwise(_gelu_vjp_kernel, (x, upstream, out), (x.dtype, x.dtype, out_dt, out_dt))
+    return ensure_finite(out, "gelu vjp")
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -122,31 +203,45 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] < 1:
         raise DimensionError("softmax_rows needs a non-empty last dimension")
     m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / np.sum(e, axis=-1, keepdims=True)
-    return ensure_finite(out, "softmax_rows")
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return ensure_finite(e, "softmax_rows")
 
 
 def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    dot = np.sum(upstream * probs, axis=-1, keepdims=True)
-    return ensure_finite(probs * (upstream - dot), "softmax_rows vjp")
+    t = np.multiply(upstream, probs)
+    dot = np.sum(t, axis=-1, keepdims=True)
+    np.subtract(upstream, dot, out=t)
+    t *= probs
+    return ensure_finite(t, "softmax_rows vjp")
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
     """Normalize rows (last dim) to mean 0 / variance 1, then affine.
 
-    Returns (y, x_hat, inv_std); the latter two are what backward needs.
+    gamma and beta are per-feature vectors of x's last extent. Returns
+    (y, x_hat, inv_std); the latter two are what backward needs.
     """
     if x.shape[-1] < 1:
         raise DimensionError("layer_norm needs a non-empty last dimension")
+    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
+        raise DimensionError(
+            f"layer_norm gamma {gamma.shape} and beta {beta.shape} must be {x.shape[-1:]}"
+        )
     if not eps > 0:
         raise ParameterError("layer_norm eps must be positive")
     mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
+    x_hat = np.subtract(x, mean)
+    sq = np.multiply(x_hat, x_hat)
+    var = np.mean(sq, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv_std
-    y = ensure_finite(gamma * x_hat + beta, "layer_norm")
-    return y, x_hat, inv_std
+    x_hat *= inv_std
+    # y = gamma * x_hat + beta lands in sq's buffer unless a dtype promotes.
+    out = sq if gamma.dtype == beta.dtype == sq.dtype else None
+    y = np.multiply(gamma, x_hat, out=out)
+    y = np.add(y, beta, out=out)
+    return ensure_finite(y, "layer_norm"), x_hat, inv_std
 
 
 def layer_norm_vjp(
@@ -155,15 +250,30 @@ def layer_norm_vjp(
     gamma: np.ndarray,
     upstream: np.ndarray,
 ):
-    """Gradients (dx, dgamma, dbeta) for layer_norm."""
-    dxhat = upstream * gamma
-    dx = inv_std * (
-        dxhat
-        - np.mean(dxhat, axis=-1, keepdims=True)
-        - x_hat * np.mean(dxhat * x_hat, axis=-1, keepdims=True)
-    )
+    """Gradients (dx, dgamma, dbeta) for layer_norm, from its x_hat and inv_std."""
+    if (
+        upstream.shape != x_hat.shape
+        or gamma.shape != x_hat.shape[-1:]
+        or inv_std.shape != x_hat.shape[:-1] + (1,)
+    ):
+        raise DimensionError(
+            f"layer_norm_vjp shapes differ: x_hat {x_hat.shape}, inv_std {inv_std.shape}, "
+            f"gamma {gamma.shape}, upstream {upstream.shape}"
+        )
+    same_dtype = upstream.dtype == gamma.dtype == x_hat.dtype == inv_std.dtype
+    dxhat = np.multiply(upstream, gamma)
+    mean_dxhat = np.mean(dxhat, axis=-1, keepdims=True)
+    # dx = inv_std * ((dxhat - mean(dxhat)) - x_hat * mean(dxhat * x_hat)), built
+    # in the buffer of dxhat * x_hat, whose dtype no later operand but inv_std
+    # can promote.
+    dx = np.multiply(dxhat, x_hat)
+    mean_dxhat_xhat = np.mean(dx, axis=-1, keepdims=True)
+    np.multiply(x_hat, mean_dxhat_xhat, out=dx)
+    dxhat -= mean_dxhat
+    np.subtract(dxhat, dx, out=dx)
+    dx = np.multiply(inv_std, dx, out=dx if same_dtype else None)
     axes = tuple(range(x_hat.ndim - 1))
-    dgamma = np.sum(upstream * x_hat, axis=axes)
+    dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat if same_dtype else None), axis=axes)
     dbeta = np.sum(upstream, axis=axes)
     return ensure_finite(dx, "layer_norm vjp"), dgamma, dbeta
 

@@ -92,13 +92,26 @@ def adamw_step(params: Params, grads: Params, state: AdamWState, cfg: AdamWConfi
     bc2 = 1.0 - cfg.beta2**t
     for k, p in params.items():
         g = grads[k]
-        if cfg.weight_decay != 0.0:
-            p -= cfg.eta * cfg.weight_decay * p
         m = state.m[k]
         v = state.v[k]
+        # p -= eta * (m / bc1) / (sqrt(v / bc2) + eps), with every temporary in
+        # one of two scratch rows allocated once per parameter. The operations
+        # and their order are the plain expression's, so the update is
+        # bit-identical; a dtype that would promote falls back to allocating.
+        num_buf = den_buf = None
+        if p.dtype == g.dtype == m.dtype == v.dtype:
+            num_buf, den_buf = np.empty((2,) + p.shape, p.dtype)
+        if cfg.weight_decay != 0.0:
+            p -= np.multiply(cfg.eta * cfg.weight_decay, p, out=num_buf)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=num_buf)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.eta * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        g2 = np.multiply(1.0 - cfg.beta2, g, out=num_buf)
+        v += np.multiply(g2, g, out=num_buf)
+        den = np.divide(v, bc2, out=den_buf)
+        den = np.sqrt(den, out=den_buf)
+        den = np.add(den, cfg.eps, out=den_buf)
+        num = np.divide(m, bc1, out=num_buf)
+        num = np.multiply(cfg.eta, num, out=num_buf)
+        p -= np.divide(num, den, out=num_buf)
     return params, state

@@ -12,7 +12,16 @@ from . import adapters, memory, optim
 from .adapters import Mode
 from .equivalence import subspace_check
 from .errors import LorafaError, NumericsError, ParameterError
-from .model import ModelConfig, TransformerModel, backward, build_model, count_trainable, forward_loss, trainable_params
+from .model import (
+    ModelConfig,
+    TransformerModel,
+    backward,
+    build_model,
+    count_trainable,
+    forward_loss,
+    require_number,
+    trainable_params,
+)
 from .rng import RngState, derive
 from .serialize import SCHEMA_VERSION, dumps_canonical
 from .tasks import Dataset, gen_task
@@ -38,6 +47,12 @@ class RunConfig:
     report_path: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("rank", "steps", "seed", "n_examples", "warmup_steps", "equiv_every"):
+            require_number(name, getattr(self, name), integral=True)
+        for name in ("lr", "weight_decay"):
+            require_number(name, getattr(self, name))
+        if self.alpha is not None:
+            require_number("alpha", self.alpha)
         if self.optimizer not in ("adamw", "sgd"):
             raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
         if self.steps < 0:

@@ -77,6 +77,21 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys, file_cfg, named
     assert named in err
 
 
+@pytest.mark.parametrize("file_cfg,named", [
+    ({"steps": "5"}, "steps must be an integer"),
+    ({"lr": "1e-3"}, "lr must be a number"),
+    ({"rank": 2.5}, "rank must be an integer"),
+    ({"alpha": True}, "alpha must be a number"),
+    ({"model": {"d": "64"}}, "d must be an integer"),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, file_cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(file_cfg))
+    code, _, err = run_cli(capsys, "train", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert named in err
+
+
 @pytest.mark.parametrize("flag", ["--equiv-every", "--warmup-steps", "--weight-decay"])
 def test_negative_run_flag_is_config_error(capsys, flag):
     code, _, err = run_cli(capsys, "train", "--steps", "1", flag, "-1")

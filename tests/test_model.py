@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorafa.adapters import Mode
-from lorafa.errors import DataError, ParameterError
+from lorafa.errors import DataError, DimensionError, ParameterError
 from lorafa.gradcheck import check_tiny_model
 from lorafa.model import (
     IGNORE_TARGET,
@@ -16,7 +16,7 @@ from lorafa.model import (
     trainable_params,
 )
 from lorafa.optim import AdamWConfig, adamw_step, init_adamw_state
-from lorafa.rng import RngState, randint
+from lorafa.rng import RngState, randint, randn
 
 CFG = ModelConfig(d=16, n_layers=2, n_heads=2, vocab=11, seq_len=8, batch_size=2)
 
@@ -207,3 +207,41 @@ def test_full_count_exceeds_linear_only_in_ft_only():
 def test_rank_larger_than_d_rejected():
     with pytest.raises(ParameterError):
         build_model(CFG, Mode.LORA, rank=CFG.d + 1, rng=RngState(0))
+
+
+def test_targets_are_validated_before_the_forward_pass(monkeypatch):
+    import lorafa.model as model_mod
+
+    def no_forward(*_args, **_kwargs):
+        raise AssertionError("_forward ran for a batch with bad targets")
+
+    monkeypatch.setattr(model_mod, "_forward", no_forward)
+    m = build_model(CFG, Mode.LORA_FA, rank=2, rng=RngState(1))
+    tokens, targets = data(4)
+    below_ignore = targets.copy()
+    below_ignore[0, 0] = -2
+    for bad, error in (
+        (targets[:, :-1], DimensionError),
+        (below_ignore, DataError),
+        (np.full_like(targets, CFG.vocab), DataError),
+        (np.full_like(targets, IGNORE_TARGET), DataError),
+    ):
+        with pytest.raises(error):
+            forward_loss(m, tokens, bad)
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_backward_leaves_the_tape_unchanged(mode):
+    # Backward accumulates residual and q/k/v gradients in place; none of
+    # that may write into an array the forward pass retained.
+    m = build_model(CFG, mode, rank=2, rng=RngState(5))
+    for p in trainable_params(m).values():
+        p += 0.1 * randn(p.shape, RngState(p.size))
+    tokens, targets = data(6)
+    _, tape = forward_loss(m, tokens, targets)
+    before = [(cat, key, arr.copy()) for cat, key, arr in tape.records]
+    backward(m, tape)
+    assert len(tape.records) == len(before)
+    for (cat, key, arr), (cat0, key0, arr0) in zip(tape.records, before):
+        assert (cat, key) == (cat0, key0)
+        assert arr.dtype == arr0.dtype and np.array_equal(arr, arr0), f"{cat} {key} changed"

@@ -186,3 +186,164 @@ def test_primitive_gradients_match_finite_differences():
     assert results, "no primitives checked"
     for name, err in results.items():
         assert err < 1e-5, f"{name}: {err}"
+
+
+# --- in-place kernels against the plain expressions ---------------------------
+#
+# The kernels write into preallocated buffers (and GeLU works in flat blocks
+# of ops.BLOCK elements); the formulas below are the plain numpy expressions
+# they replaced. Results must match bit for bit, in value and dtype, and no
+# argument may change: forward outputs are retained on the tape.
+
+def ref_gelu(x):
+    x2 = x * x
+    t = np.tanh(ops._GELU_C * (x + ops._GELU_A * (x2 * x)))
+    t += 1.0
+    t *= 0.5 * x
+    return t
+
+
+def ref_gelu_vjp(x, upstream):
+    x2 = x * x
+    t = np.tanh(ops._GELU_C * (x + ops._GELU_A * (x2 * x)))
+    grad = 0.5 * (1.0 + t) + (0.5 * ops._GELU_C) * x * (1.0 - t * t) * (1.0 + 3.0 * ops._GELU_A * x2)
+    grad *= upstream
+    return grad
+
+
+def ref_softmax_rows(x):
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def ref_softmax_rows_vjp(probs, upstream):
+    dot = np.sum(upstream * probs, axis=-1, keepdims=True)
+    return probs * (upstream - dot)
+
+
+def ref_layer_norm(x, gamma, beta, eps=1e-5):
+    mean = np.mean(x, axis=-1, keepdims=True)
+    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, x_hat, inv_std
+
+
+def ref_layer_norm_vjp(x_hat, inv_std, gamma, upstream):
+    dxhat = upstream * gamma
+    dx = inv_std * (
+        dxhat
+        - np.mean(dxhat, axis=-1, keepdims=True)
+        - x_hat * np.mean(dxhat * x_hat, axis=-1, keepdims=True)
+    )
+    axes = tuple(range(x_hat.ndim - 1))
+    return dx, np.sum(upstream * x_hat, axis=axes), np.sum(upstream, axis=axes)
+
+
+KERNEL_SHAPES = [
+    (1,), (ops.BLOCK - 1,), (ops.BLOCK,), (ops.BLOCK + 1,), (3 * ops.BLOCK + 7,), (8, 64, 512),
+]
+
+
+def assert_same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def call_unchanged(fn, *args):
+    """fn(*args), asserting that no argument array was written."""
+    before = [np.array(a, copy=True) for a in args]
+    out = fn(*args)
+    for a, b in zip(args, before):
+        assert_same(a, b)
+    return out
+
+
+def kernel_inputs(shape, dtype, seed=0):
+    rng = RngState(seed + sum(shape))
+    x = (3.0 * randn(shape, rng)).astype(dtype)
+    upstream = randn(shape, rng).astype(dtype)
+    gamma = randn(shape[-1:], rng).astype(dtype)
+    beta = randn(shape[-1:], rng).astype(dtype)
+    return x, upstream, gamma, beta
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_gelu_kernels_match_plain_expressions(shape, dtype):
+    x, upstream, _, _ = kernel_inputs(shape, dtype)
+    assert_same(call_unchanged(ops.gelu, x), ref_gelu(x))
+    assert_same(call_unchanged(ops.gelu_vjp, x, upstream), ref_gelu_vjp(x, upstream))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_softmax_kernels_match_plain_expressions(shape, dtype):
+    x, upstream, _, _ = kernel_inputs(shape, dtype)
+    probs = call_unchanged(ops.softmax_rows, x)
+    assert_same(probs, ref_softmax_rows(x))
+    assert_same(call_unchanged(ops.softmax_rows_vjp, probs, upstream),
+                ref_softmax_rows_vjp(probs, upstream))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_layer_norm_kernels_match_plain_expressions(shape, dtype):
+    x, upstream, gamma, beta = kernel_inputs(shape, dtype)
+    got = call_unchanged(ops.layer_norm, x, gamma, beta)
+    want = ref_layer_norm(x, gamma, beta)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+    _, x_hat, inv_std = want
+    got = call_unchanged(ops.layer_norm_vjp, x_hat, inv_std, gamma, upstream)
+    for g, w in zip(got, ref_layer_norm_vjp(x_hat, inv_std, gamma, upstream)):
+        assert_same(g, w)
+
+
+def test_kernels_match_plain_expressions_with_mixed_dtypes():
+    # float32 activations with float64 parameters or upstream promote inside
+    # the plain expressions; the kernels must promote at the same points.
+    x32, up32, g32, b32 = kernel_inputs((6, 40), np.float32)
+    up64, g64, b64 = (a.astype(np.float64) for a in (up32, g32, b32))
+    assert_same(ops.gelu_vjp(x32, up64), ref_gelu_vjp(x32, up64))
+    assert_same(ops.softmax_rows_vjp(ops.softmax_rows(x32), up64),
+                ref_softmax_rows_vjp(ref_softmax_rows(x32), up64))
+    for gamma, beta in ((g64, b64), (g32, b64), (g64, b32)):
+        got = ops.layer_norm(x32, gamma, beta)
+        want = ref_layer_norm(x32, gamma, beta)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+        _, x_hat, inv_std = want
+        for upstream in (up32, up64):
+            got = ops.layer_norm_vjp(x_hat, inv_std, gamma, upstream)
+            for g, w in zip(got, ref_layer_norm_vjp(x_hat, inv_std, gamma, upstream)):
+                assert_same(g, w)
+
+
+def test_gelu_vjp_broadcasts_upstream_like_the_plain_expression():
+    x, _, _, _ = kernel_inputs((3, ops.BLOCK), np.float64)
+    upstream = randn((ops.BLOCK,), RngState(12))
+    assert_same(ops.gelu_vjp(x, upstream), ref_gelu_vjp(x, upstream))
+    assert_same(ops.gelu_vjp(x, 2.0), ref_gelu_vjp(x, 2.0))
+
+
+def test_softmax_kernel_keeps_masked_entries_exact():
+    s = 64
+    scores = randn((8, 4, s, s), RngState(13))
+    scores[..., np.triu(np.ones((s, s), dtype=bool), 1)] = -np.inf
+    assert_same(call_unchanged(ops.softmax_rows, scores), ref_softmax_rows(scores))
+
+
+def test_layer_norm_rejects_mismatched_shapes():
+    x = randn((4, 6), RngState(14))
+    with pytest.raises(DimensionError):
+        ops.layer_norm(x, np.ones(5), np.zeros(6))
+    with pytest.raises(DimensionError):
+        ops.layer_norm(x, np.ones(6), np.zeros((1, 6)))
+    _, x_hat, inv_std = ops.layer_norm(x, np.ones(6), np.zeros(6))
+    with pytest.raises(DimensionError):
+        ops.layer_norm_vjp(x_hat, inv_std, np.ones(6), np.ones(6))
+    with pytest.raises(DimensionError):
+        ops.layer_norm_vjp(x_hat, inv_std[0], np.ones(6), np.ones((4, 6)))

@@ -116,3 +116,40 @@ def test_one_sgd_step_on_model_moves_only_trainables():
     sgd_step(trainable_params(m), grads, SGDConfig(eta=0.1))
     assert [layer.w.tobytes() + layer.a.tobytes() for _, layer in m.adapted_layers()] == frozen_bytes
     assert any(np.any(layer.b != 0) for _, layer in m.adapted_layers())
+
+
+def ref_adamw_update(p, g, m, v, t, cfg):
+    """The plain-expression AdamW update adamw_step must reproduce bit for bit."""
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    if cfg.weight_decay != 0.0:
+        p -= cfg.eta * cfg.weight_decay * p
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    p -= cfg.eta * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+@pytest.mark.parametrize("p_dtype,g_dtype", [
+    (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
+])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_matches_plain_update_bitwise(p_dtype, g_dtype, weight_decay):
+    rng = RngState(6)
+    shapes = {"w": (64, 48), "b": (48,), "s": (1,)}
+    params = {k: randn(s, rng).astype(p_dtype) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    state = init_adamw_state(params)
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    cfg = AdamWConfig(eta=0.05, weight_decay=weight_decay)
+    for t in range(1, 6):
+        grads = {k: randn(s, rng).astype(g_dtype) for k, s in shapes.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        adamw_step(params, grads, state, cfg)
+        for k in shapes:
+            ref_adamw_update(ref[k], grads[k], ref_m[k], ref_v[k], t, cfg)
+            assert np.array_equal(grads[k], before[k])
+            for got, want in ((params[k], ref[k]), (state.m[k], ref_m[k]), (state.v[k], ref_v[k])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -111,6 +111,12 @@ def test_config_validation():
             small_cfg(**{name: -1})
     with pytest.raises(ParameterError):
         RunConfig.from_dict({**small_cfg().to_dict(), "lr_decay": 0.5})
+    for name, value in (("steps", "5"), ("seed", 1.0), ("lr", None), ("weight_decay", "0"),
+                        ("alpha", "0.5"), ("equiv_every", False)):
+        with pytest.raises(ParameterError, match=name):
+            small_cfg(**{name: value})
+    with pytest.raises(ParameterError, match="seq_len"):
+        ModelConfig(d=16, n_layers=1, n_heads=2, vocab=12, seq_len="8")
 
 
 def test_config_dict_roundtrip():
