@@ -12,7 +12,7 @@ import sys
 
 from . import gradcheck, memory
 from .adapters import Mode, init_adapter
-from .equivalence import estimate_unbiasedness, subspace_check, verify_sgd_equivalence
+from .equivalence import SUBSPACE_PASS_RESIDUAL, estimate_unbiasedness, subspace_check, verify_sgd_equivalence
 from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
 from .model import ModelConfig, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
@@ -195,7 +195,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     layer.b[:] = randn(layer.b.shape, rng)
     delta = layer.alpha * (layer.a @ layer.b)
     rep = subspace_check(layer.a, delta)
-    ok = rep.residual < 1e-10 and rep.numerical_rank <= 4
+    ok = rep.residual < SUBSPACE_PASS_RESIDUAL and rep.numerical_rank <= 4
     all_pass &= ok
     print(dumps_canonical({"check": "subspace", "residual": rep.residual,
                            "numerical_rank": rep.numerical_rank, "rank_bound": 4,

@@ -24,6 +24,8 @@ from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
 SUBSPACE_TINY = 1e-30  # residual denominator floor for the zero-update case
+# A subspace snapshot passes when its residual is below this (criterion 04).
+SUBSPACE_PASS_RESIDUAL = 1e-10
 # Residual below which subspace_check takes the rank from Q^T delta_w: four
 # decades under ops.RANK_REL_TOL, so the part of delta_w outside col(A) is
 # far too small to lift a pivoted-QR diagonal over the rank threshold.
@@ -106,18 +108,20 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
     """How far delta_w sits from the column space of A, plus its numerical rank.
 
     The residual and the rank share one projection, the r x d_out
-    coefficients C = Q^T delta_w in the orthonormal basis Q of col(A).
-    A zero delta_w (e.g. before any update) reports residual 0 by
-    definition. Numerical rank uses the pivoted-QR diagonal rule with the
-    repo-wide 1e-8 relative threshold (ops.RANK_REL_TOL). When the
-    residual is below RANK_FROM_COEFF_RESIDUAL, delta_w = Q C up to
-    rounding; Q has orthonormal columns, so the pivoted-QR diagonals of
-    delta_w and C agree and the rank is taken from C: min(r, d_out)
-    reflector steps instead of min(d_in, d_out). Otherwise the full
-    delta_w is factored, so a component outside col(A) is still counted.
-    A snapshot's cost is then one QR of A (d_in x r) plus one pivoted QR
-    of the r x d_out coefficients per layer.
+    coefficients C = Q^T delta_w in the orthonormal basis Q of col(A),
+    which ops.qr takes from LAPACK. A zero delta_w (e.g. before any
+    update) reports residual 0 by definition. Numerical rank uses the
+    pivoted-QR diagonal rule with the repo-wide 1e-8 relative threshold
+    (ops.RANK_REL_TOL). When the residual is below
+    RANK_FROM_COEFF_RESIDUAL, delta_w = Q C up to rounding; Q has
+    orthonormal columns, so the pivoted-QR diagonals of delta_w and C
+    agree and the rank is taken from C: min(r, d_out) reflector steps
+    instead of min(d_in, d_out). Otherwise the full delta_w is factored,
+    so a component outside col(A) is still counted. Per layer a snapshot
+    costs one LAPACK QR of A plus an R-only pivoted QR of the coefficients.
     """
+    if a.ndim != 2 or delta_w.ndim != 2 or a.shape[0] != delta_w.shape[0]:
+        raise DimensionError(f"incompatible shapes A {a.shape}, delta_w {delta_w.shape}")
     q, _ = ops.qr(a)
     coeff = q.T @ delta_w
     norm = float(np.linalg.norm(delta_w))

@@ -23,6 +23,8 @@ the whole array, and their arrays are small enough to stay cached.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NumericsError, ParameterError
@@ -298,43 +300,59 @@ def vjp(kind: str, saved: tuple, upstream: np.ndarray):
 
 
 def _apply_reflector(v: np.ndarray, block: np.ndarray) -> None:
-    block -= 2.0 * np.outer(v, v @ block)
+    block -= 2.0 * (v[:, None] * (v @ block))  # np.outer(v, v @ block), inlined
 
 
 def qr(m: np.ndarray):
-    """Reduced Householder QR of a d x r matrix (d >= r): m = q @ rr.
+    """Reduced QR of a d x r matrix (d >= r) by LAPACK: m = q @ rr.
 
-    q is d x r with orthonormal columns, rr is r x r upper-triangular.
-    Rank-deficient input is allowed; it shows up as near-zero diagonal
-    entries of rr for the caller to inspect.
+    q is d x r with orthonormal columns, rr is r x r upper-triangular, both
+    float64. Rank-deficient input is allowed; it shows up as near-zero
+    diagonal entries of rr. LAPACK returns NaN without raising, so the
+    finiteness checks turn non-finite input into a NumericsError.
     """
     if m.ndim != 2:
         raise DimensionError("qr expects a matrix")
     d, r = m.shape
     if d < r:
         raise DimensionError(f"qr expects d >= r, got {d} x {r}")
-    R = np.array(m, dtype=np.float64, copy=True)
+    q, rr = np.linalg.qr(np.asarray(m, dtype=np.float64))
+    return ensure_finite(q, "qr"), ensure_finite(rr, "qr")
+
+
+def _pivoted_householder(m: np.ndarray):
+    """Column-pivoted Householder steps on a float64 copy of m: (work, vs, perm).
+
+    work holds rr in its upper triangle, vs the min(d, n) unit reflectors
+    (zero for a zero column) and perm the column order. Norms and reflector
+    updates are the sums np.linalg.norm and np.outer evaluate, called
+    directly, so every result is bit for bit theirs.
+    """
+    work = np.array(m, dtype=np.float64, copy=True)
+    d, n = work.shape
+    perm = np.arange(n)
     vs: list[np.ndarray] = []
-    for j in range(r):
-        x = R[j:, j]
-        normx = np.linalg.norm(x)
-        v = x.copy()
+    for j in range(min(d, n)):
+        blk = work[j:, j:]
+        p = j + int(np.sqrt(np.add.reduce(blk * blk, axis=0)).argmax())
+        if p != j:
+            col = work[:, j].copy()
+            work[:, j] = work[:, p]
+            work[:, p] = col
+            perm[j], perm[p] = perm[p], perm[j]
+        v = work[j:, j].copy()
+        normx = math.sqrt(v.dot(v))
+        vnorm = 0.0
         if normx > 0.0:
-            v[0] += (1.0 if x[0] >= 0 else -1.0) * normx
-            vnorm = np.linalg.norm(v)
-            if vnorm > 0.0:
-                v /= vnorm
-                _apply_reflector(v, R[j:, j:])
-            else:
-                v[:] = 0.0
+            v[0] += normx if v[0] >= 0 else -normx
+            vnorm = math.sqrt(v.dot(v))
+        if vnorm > 0.0:
+            v /= vnorm
+            _apply_reflector(v, blk)
         else:
             v[:] = 0.0
         vs.append(v)
-    rr = np.triu(R[:r, :])
-    q = np.eye(d, r)
-    for j in reversed(range(r)):
-        _apply_reflector(vs[j], q[j:, :])
-    return ensure_finite(q, "qr"), ensure_finite(rr, "qr")
+    return work, vs, perm
 
 
 def qr_pivoted(m: np.ndarray):
@@ -346,43 +364,22 @@ def qr_pivoted(m: np.ndarray):
     """
     if m.ndim != 2:
         raise DimensionError("qr_pivoted expects a matrix")
-    d, n = m.shape
-    k = min(d, n)
-    R = np.array(m, dtype=np.float64, copy=True)
-    perm = np.arange(n)
-    vs: list[np.ndarray] = []
-    for j in range(k):
-        norms = np.linalg.norm(R[j:, j:], axis=0)
-        p = j + int(np.argmax(norms))
-        if p != j:
-            R[:, [j, p]] = R[:, [p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        x = R[j:, j]
-        normx = np.linalg.norm(x)
-        v = x.copy()
-        if normx > 0.0:
-            v[0] += (1.0 if x[0] >= 0 else -1.0) * normx
-            vnorm = np.linalg.norm(v)
-            if vnorm > 0.0:
-                v /= vnorm
-                _apply_reflector(v, R[j:, j:])
-            else:
-                v[:] = 0.0
-        else:
-            v[:] = 0.0
-        vs.append(v)
-    rr = np.triu(R[:k, :])
-    q = np.eye(d, k)
+    work, vs, perm = _pivoted_householder(m)
+    k = len(vs)
+    rr = np.triu(work[:k, :])
+    q = np.eye(work.shape[0], k)
     for j in reversed(range(k)):
         _apply_reflector(vs[j], q[j:, :])
     return ensure_finite(q, "qr_pivoted"), ensure_finite(rr, "qr_pivoted"), perm
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count pivoted-QR diagonal entries above rel_tol * ||m||_F."""
+    """Count pivoted-QR diagonal entries above rel_tol * ||m||_F (rr only, no q)."""
+    if m.ndim != 2:
+        raise DimensionError("numerical_rank expects a matrix")
     scale_f = np.linalg.norm(m)
     if scale_f == 0.0:
         return 0
-    _, rr, _ = qr_pivoted(m)
-    diag = np.abs(np.diag(rr))
+    work, _, _ = _pivoted_householder(m)
+    diag = np.abs(ensure_finite(work, "numerical_rank").diagonal())
     return int(np.sum(diag > rel_tol * scale_f))

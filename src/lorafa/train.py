@@ -10,7 +10,7 @@ import numpy as np
 
 from . import adapters, memory, optim
 from .adapters import Mode
-from .equivalence import subspace_check
+from .equivalence import SUBSPACE_PASS_RESIDUAL, subspace_check
 from .errors import LorafaError, NumericsError, ParameterError
 from .model import (
     ModelConfig,
@@ -25,8 +25,6 @@ from .model import (
 from .rng import RngState, derive
 from .serialize import SCHEMA_VERSION, dumps_canonical
 from .tasks import Dataset, gen_task
-
-SUBSPACE_PASS_THRESHOLD = 1e-8
 
 
 @dataclass
@@ -139,7 +137,7 @@ def _equiv_snapshot(model: TransformerModel, merged_0: dict, step: int) -> dict:
         "max_subspace_residual": worst_residual,
         "max_numerical_rank": worst_rank,
         "rank_bound": model.rank,
-        "pass": bool(worst_residual < SUBSPACE_PASS_THRESHOLD and worst_rank <= model.rank),
+        "pass": bool(worst_residual < SUBSPACE_PASS_RESIDUAL and worst_rank <= model.rank),
     }
 
 

@@ -201,6 +201,16 @@ def test_subspace_rank_path_follows_residual_gate(monkeypatch, factor, full_path
     assert rep.numerical_rank == 8  # the off part sits far below the rank threshold
 
 
+@pytest.mark.parametrize("a_shape,dw_shape", [
+    ((8, 2), (6, 3)),      # row counts differ
+    ((8,), (8, 3)),        # A not a matrix
+    ((8, 2), (8, 3, 1)),   # delta_w not a matrix
+])
+def test_subspace_check_rejects_bad_shapes(a_shape, dw_shape):
+    with pytest.raises(DimensionError):
+        subspace_check(np.ones(a_shape), np.ones(dw_shape))
+
+
 def test_rbar_reconstructs_delta():
     rng = RngState(11)
     a = randn((10, 3), rng)

@@ -166,6 +166,181 @@ def test_numerical_rank_zero():
     assert ops.numerical_rank(np.zeros((5, 4))) == 0
 
 
+def test_numerical_rank_nonfinite_raises():
+    m = randn((8, 64), RngState(3))
+    m[5, 0] = np.nan
+    with pytest.raises(NumericsError):
+        ops.numerical_rank(m)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_numerical_rank_rejects_non_matrix(shape, fill):
+    # the zero shortcut must not let a non-matrix through
+    with pytest.raises(DimensionError):
+        ops.numerical_rank(np.full(shape, fill))
+
+
+# --- qr against plain Householder loops ---------------------------------------
+# Reference loops, unpivoted and column-pivoted, written with np.linalg.norm
+# and np.outer. qr_pivoted and numerical_rank do the same arithmetic with
+# fewer numpy calls and must match bit for bit; ops.qr (LAPACK) within QR_TOL.
+
+def _ref_reflect(v, block):
+    block -= 2.0 * np.outer(v, v @ block)
+
+
+def _ref_householder_step(R, j, vs):
+    x = R[j:, j]
+    normx = np.linalg.norm(x)
+    v = x.copy()
+    if normx > 0.0:
+        v[0] += (1.0 if x[0] >= 0 else -1.0) * normx
+        vnorm = np.linalg.norm(v)
+        if vnorm > 0.0:
+            v /= vnorm
+            _ref_reflect(v, R[j:, j:])
+        else:
+            v[:] = 0.0
+    else:
+        v[:] = 0.0
+    vs.append(v)
+
+
+def _ref_q(vs, d):
+    q = np.eye(d, len(vs))
+    for j in reversed(range(len(vs))):
+        _ref_reflect(vs[j], q[j:, :])
+    return q
+
+
+def _ref_qr(m):
+    R = np.array(m, dtype=np.float64, copy=True)
+    vs = []
+    for j in range(m.shape[1]):
+        _ref_householder_step(R, j, vs)
+    return _ref_q(vs, m.shape[0]), np.triu(R[: m.shape[1], :])
+
+
+def _ref_qr_pivoted(m):
+    R = np.array(m, dtype=np.float64, copy=True)
+    d, n = R.shape
+    perm = np.arange(n)
+    vs = []
+    for j in range(min(d, n)):
+        p = j + int(np.argmax(np.linalg.norm(R[j:, j:], axis=0)))
+        if p != j:
+            R[:, [j, p]] = R[:, [p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        _ref_householder_step(R, j, vs)
+    return _ref_q(vs, d), np.triu(R[: len(vs), :]), perm
+
+
+def _ref_numerical_rank(m, rel_tol=ops.RANK_REL_TOL):
+    scale_f = np.linalg.norm(m)
+    if scale_f == 0.0:
+        return 0
+    _, rr, _ = _ref_qr_pivoted(m)
+    return int(np.sum(np.abs(np.diag(rr)) > rel_tol * scale_f))
+
+
+def _pivot_cases():
+    rng = RngState(21)
+    low = randn((12, 3), rng) @ randn((3, 9), rng)
+    zero_col = randn((8, 16), rng)
+    zero_col[:, 5] = 0.0
+    tied = randn((8, 12), rng)
+    tied[:, 2] *= 10.0  # the three tied columns lead the first pivot search
+    tied[:, 7] = tied[:, 2]
+    tied[:, 9] = -tied[:, 2]
+    return {
+        "wide_8x64": randn((8, 64), rng),
+        "wide_8x256": randn((8, 256), rng),
+        "tall_64x8": randn((64, 8), rng),
+        "square_12x12": randn((12, 12), rng),
+        "rank3_12x9": low,
+        "zero_column": zero_col,
+        "tied_columns": tied,
+        "all_zero": np.zeros((4, 6)),
+    }
+
+
+PIVOT_CASES = _pivot_cases()
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_qr_pivoted_bit_identical_to_reference(name):
+    m = PIVOT_CASES[name]
+    before = m.copy()
+    q, r, perm = ops.qr_pivoted(m)
+    q_ref, r_ref, perm_ref = _ref_qr_pivoted(m)
+    assert q.tobytes() == q_ref.tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+    assert np.array_equal(perm, perm_ref)
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_numerical_rank_matches_reference(name):
+    m = PIVOT_CASES[name]
+    assert ops.numerical_rank(m) == _ref_numerical_rank(m)
+    assert ops.numerical_rank(m, rel_tol=1e-3) == _ref_numerical_rank(m, rel_tol=1e-3)
+
+
+def test_numerical_rank_of_cases():
+    assert [ops.numerical_rank(PIVOT_CASES[k]) for k in (
+        "rank3_12x9", "zero_column", "tied_columns", "all_zero"
+    )] == [3, 8, 8, 0]
+
+
+# LAPACK and the old loop apply the same reflectors in a different order of
+# operations, so ops.qr may differ from the loop by rounding only. Bound set
+# from the float64 unit roundoff, about 10x the largest gap seen on these shapes.
+QR_TOL = 64 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("shape", [(64, 8), (256, 8), (256, 16), (16, 4), (7, 1)])
+def test_qr_matches_householder_loop(shape):
+    m = randn(shape, RngState(shape[0] + shape[1]))
+    q, r = ops.qr(m)
+    q_ref, r_ref = _ref_qr(m)
+    assert np.max(np.abs(q - q_ref)) <= QR_TOL
+    assert np.max(np.abs(r - r_ref)) <= QR_TOL * np.linalg.norm(m)
+
+
+def test_qr_square_matches_loop_up_to_last_sign():
+    # On a square matrix the last step reflects a single entry: the loop
+    # flips its sign, LAPACK leaves it (identity reflector). Column signs of q
+    # (row signs of r) are otherwise the same convention.
+    m = randn((12, 12), RngState(22))
+    q, r = ops.qr(m)
+    q_ref, r_ref = _ref_qr(m)
+    s = np.sign(np.diag(r)) * np.sign(np.diag(r_ref))
+    assert np.all(s[:-1] == 1.0)
+    assert np.max(np.abs(q * s - q_ref)) <= QR_TOL
+    assert np.max(np.abs(s[:, None] * r - r_ref)) <= QR_TOL * np.linalg.norm(m)
+
+
+def test_qr_float32_input_gives_float64():
+    m = randn((16, 4), RngState(23)).astype(np.float32)
+    q, r = ops.qr(m)
+    assert q.dtype == np.float64 and r.dtype == np.float64
+    assert np.linalg.norm(q @ r - m) < 1e-5 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qr_nonfinite_raises(bad):
+    m = randn((16, 4), RngState(24))
+    m[3, 1] = bad
+    with pytest.raises(NumericsError):
+        ops.qr(m)
+
+
+def test_qr_rejects_non_matrix():
+    with pytest.raises(DimensionError):
+        ops.qr(np.ones((4, 2, 1)))
+
+
 # --- vjp dispatch and gradient oracle ---------------------------------------
 
 def test_vjp_matmul_with_identity_upstream():

@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from lorafa.adapters import Mode
+from lorafa.equivalence import SUBSPACE_PASS_RESIDUAL
 from lorafa.errors import ParameterError
-from lorafa.model import ModelConfig
-from lorafa.train import RunConfig, RunReport, cell_seed, sweep, train_run
+from lorafa.model import ModelConfig, build_model
+from lorafa.rng import RngState, randn
+from lorafa.train import (
+    RunConfig,
+    RunReport,
+    _equiv_snapshot,
+    _merged_weights,
+    cell_seed,
+    sweep,
+    train_run,
+)
 
 SMALL = ModelConfig(d=16, n_layers=1, n_heads=2, vocab=12, seq_len=8, batch_size=4)
 
@@ -83,6 +93,24 @@ def test_equivalence_snapshots_recorded():
     assert [e["step"] for e in rep.equivalence] == [3, 6]
     assert all(e["pass"] for e in rep.equivalence)
     assert all(e["max_numerical_rank"] <= 2 for e in rep.equivalence)
+
+
+@pytest.mark.parametrize("rel_off", [1e-9, 1e-11])
+def test_equivalence_snapshot_pass_uses_contract_threshold(rel_off):
+    # A residual between the 1e-10 contract and the old 1e-8 gate must fail.
+    model = build_model(SMALL, Mode.LORA_FA, 2, None, RngState(3))
+    merged_0 = _merged_weights(model)
+    _, layer = model.adapted_layers()[0]
+    rng = RngState(4)
+    layer.b[:] = randn(layer.b.shape, rng)
+    inside = layer.alpha * (layer.a @ layer.b)
+    perp = randn(inside.shape, rng)
+    perp -= layer.a @ np.linalg.lstsq(layer.a, perp, rcond=None)[0]
+    layer.w += perp * (rel_off * np.linalg.norm(inside) / np.linalg.norm(perp))
+    snap = _equiv_snapshot(model, merged_0, 1)
+    assert snap["max_subspace_residual"] == pytest.approx(rel_off, rel=1e-2)
+    assert snap["max_numerical_rank"] == 2
+    assert snap["pass"] is (rel_off < SUBSPACE_PASS_RESIDUAL)
 
 
 def test_equivalence_snapshot_rank_exact_every_step():
