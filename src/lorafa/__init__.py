@@ -5,13 +5,8 @@ equivalence checks, on a small trained-from-scratch transformer.
 
 from .adapters import AdaptedLinear, Mode, RetainedActivations, backward as layer_backward
 from .adapters import forward as layer_forward
-from .adapters import init_adapter, merge, retained_elements
-from .equivalence import (
-    compress_decompress,
-    estimate_unbiasedness,
-    subspace_check,
-    verify_sgd_equivalence,
-)
+from .adapters import init_adapter, merge
+from .equivalence import estimate_unbiasedness, subspace_check, verify_sgd_equivalence
 from .errors import (
     DataError,
     DimensionError,

@@ -2,7 +2,8 @@
 
 The mode fixes three things at once: which parameters train, which
 gradients exist, and which forward activations the layer is allowed to
-keep for backward.
+keep for backward. Only the first is stated (``Mode.trains``); the other
+two follow from it, since dW and dA read the input x and dB reads x@A.
 
     mode     trains        retains for backward        gradients
     ft       W             x (full width)              dW
@@ -35,12 +36,32 @@ class Mode(str, Enum):
     FROZEN = "frozen"
 
     @property
+    def trains(self) -> tuple[str, ...]:
+        """The tensors of each adapted linear that train, in parameter order."""
+        return _MODE_TABLE[self.value][0]
+
+    @property
+    def trains_dense(self) -> bool:
+        """Whether embeddings and layer norms train too."""
+        return _MODE_TABLE[self.value][1]
+
+    @property
     def has_adapter(self) -> bool:
-        return self in (Mode.LORA, Mode.LORA_FA)
+        return "b" in self.trains
 
     @property
     def retains_full_input(self) -> bool:
-        return self in (Mode.FT, Mode.LORA)
+        return "w" in self.trains or "a" in self.trains
+
+
+# The mode table, (linear tensors that train, trains_dense); every other
+# mode-dependent fact is derived from it.
+_MODE_TABLE = {
+    "ft": (("w",), True),
+    "lora": (("a", "b"), False),
+    "lora-fa": (("b",), False),
+    "frozen": ((), False),
+}
 
 
 class RetainedActivations:
@@ -213,18 +234,20 @@ def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
     if layer.mode.has_adapter:
         branch = matmul(matmul(dy, layer.b.T), layer.a.T)
         dx = ensure_finite(_add_branch(dx, layer.alpha, branch), "adapter backward")
-    grads: dict[str, np.ndarray] = {}
     dy2 = _fold(dy)
-    if layer.mode is Mode.FT:
-        grads["w"] = _fold(kept.x_full).T @ dy2
-    elif layer.mode is Mode.LORA:
-        grads["a"] = layer.alpha * (_fold(kept.x_full).T @ (dy2 @ layer.b.T))
-        grads["b"] = layer.alpha * (_fold(kept.x_low).T @ dy2)
-    elif layer.mode is Mode.LORA_FA:
-        grads["b"] = layer.alpha * (_fold(kept.x_low).T @ dy2)
-    for g in grads.values():
-        ensure_finite(g, "adapter backward")
+    grads = {
+        name: ensure_finite(_GRADIENTS[name](layer, kept, dy2), "adapter backward")
+        for name in layer.mode.trains
+    }
     return dx, grads
+
+
+# backward's rule per trainable tensor; dy2 is dy with its leading dims folded.
+_GRADIENTS = {
+    "w": lambda layer, kept, dy2: _fold(kept.x_full).T @ dy2,
+    "a": lambda layer, kept, dy2: layer.alpha * (_fold(kept.x_full).T @ (dy2 @ layer.b.T)),
+    "b": lambda layer, kept, dy2: layer.alpha * (_fold(kept.x_low).T @ dy2),
+}
 
 
 def merge(layer: AdaptedLinear) -> np.ndarray:
@@ -233,16 +256,3 @@ def merge(layer: AdaptedLinear) -> np.ndarray:
         raise ModeError(f"merge requires an adapter mode, layer is {layer.mode.value}")
     return ensure_finite(layer.w + layer.alpha * (layer.a @ layer.b), "merge")
 
-
-def retained_elements(layer: AdaptedLinear, b: int, s: int) -> int:
-    """Retained activation elements for one (batch, seq) forward of this layer.
-
-    Shared-input deduplication across layers (query/key/value) is handled
-    one level up, in the memory model.
-    """
-    n = 0
-    if layer.mode.retains_full_input:
-        n += b * s * layer.d_in
-    if layer.mode.has_adapter:
-        n += b * s * layer.rank
-    return n

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 from . import gradcheck, memory
 from .adapters import Mode, init_adapter
@@ -55,24 +56,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
 
 
+# The CLI's model geometry and mode; every other run default is RunConfig's.
 _RUN_DEFAULTS = {
     "model": {
         "d": 64, "n_layers": 2, "n_heads": 4, "vocab": 32,
         "seq_len": 16, "batch_size": 16, "d_ff": None,
     },
     "mode": "lora-fa",
-    "rank": 8,
-    "alpha": None,
-    "optimizer": "adamw",
-    "lr": 1e-3,
-    "weight_decay": 0.0,
-    "steps": 100,
-    "seed": 0,
-    "task": "copy",
-    "n_examples": 256,
-    "warmup_steps": 0,
-    "equiv_every": 0,
-    "report_path": None,
+    **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING},
 }
 
 _MODEL_FLAG_MAP = {
@@ -88,6 +79,15 @@ _RUN_FLAG_MAP = {
 }
 
 
+def _override(cfg: dict, args: argparse.Namespace, flag_map: dict) -> dict:
+    """cfg with every flag of flag_map that was given on the command line."""
+    for flag, key in flag_map.items():
+        val = getattr(args, flag, None)
+        if val is not None:
+            cfg[key] = val
+    return cfg
+
+
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = json.loads(json.dumps(_RUN_DEFAULTS))  # deep copy
     if args.config:
@@ -97,14 +97,8 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         model_part = file_cfg.pop("model", {})
         cfg["model"].update(model_part)
         cfg.update(file_cfg)
-    for flag, key in _MODEL_FLAG_MAP.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg["model"][key] = val
-    for flag, key in _RUN_FLAG_MAP.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
+    _override(cfg["model"], args, _MODEL_FLAG_MAP)
+    _override(cfg, args, _RUN_FLAG_MAP)
     return RunConfig.from_dict(cfg)
 
 
@@ -134,12 +128,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_memreport(args: argparse.Namespace) -> int:
-    config = ModelConfig(
-        d=args.d or 64, n_layers=args.layers or 2, n_heads=args.heads or 4,
-        vocab=args.vocab or 32, seq_len=args.seq_len or 16,
-        batch_size=args.batch_size or 16, d_ff=args.d_ff,
-    )
-    mode = Mode(args.mode or "lora-fa")
+    config = ModelConfig(**_override(dict(_RUN_DEFAULTS["model"]), args, _MODEL_FLAG_MAP))
+    mode = Mode(args.mode)
     mods = memory.Modifiers(
         weight_bits=args.weight_bits,
         num_shards=args.num_shards,
@@ -148,19 +138,19 @@ def cmd_memreport(args: argparse.Namespace) -> int:
     b, s = config.batch_size, config.seq_len
     out = {
         "analytic_paper_constant": memory.analytic_report(
-            config, mode, args.rank or 8, b, s, mods, "paper_constant").to_dict(),
+            config, mode, args.rank, b, s, mods, "paper_constant").to_dict(),
         "analytic_per_layer_count": memory.analytic_report(
-            config, mode, args.rank or 8, b, s, mods, "per_layer_count").to_dict(),
+            config, mode, args.rank, b, s, mods, "per_layer_count").to_dict(),
     }
     if args.probe:
-        m = build_model(config, mode, args.rank or 8, None, RngState(args.seed))
+        m = build_model(config, mode, args.rank, None, RngState(args.seed))
         rng = derive(RngState(args.seed), "memreport-probe")
         tokens = randint(rng, 0, config.vocab, (b, s))
         targets = randint(rng, 0, config.vocab, (b, s))
         _, tape = forward_loss(m, tokens, targets)
         measured = memory.measured_activation_elements(tape)
         out["measured"] = measured.to_dict()
-        out["reconciliation"] = memory.reconcile(config, mode, args.rank or 8, measured, b, s)
+        out["reconciliation"] = memory.reconcile(config, mode, args.rank, measured, b, s)
     print(dumps_canonical(out))
     return EXIT_OK
 
@@ -241,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("memreport", help="analytic memory breakdown, optionally measured")
     _add_model_flags(p)
-    p.add_argument("--mode", type=str, default="lora-fa", choices=[m.value for m in Mode])
-    p.add_argument("--rank", type=int, default=8)
+    p.add_argument("--mode", type=str, default=_RUN_DEFAULTS["mode"],
+                   choices=[m.value for m in Mode])
+    p.add_argument("--rank", type=int, default=_RUN_DEFAULTS["rank"])
     p.add_argument("--weight-bits", type=int, default=16, choices=[16, 8, 4])
     p.add_argument("--num-shards", type=int, default=1)
     p.add_argument("--full-recompute", action="store_true")

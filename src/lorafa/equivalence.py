@@ -33,25 +33,10 @@ RANK_FROM_COEFF_RESIDUAL = 1e-12
 
 
 @dataclass
-class CompressionTranscript:
-    dw: np.ndarray            # d_in x d_out full gradient
-    compressed: np.ndarray    # r x d_out, A^T dW
-    decompressed: np.ndarray  # d_in x d_out, A A^T dW
-
-
-@dataclass
 class SubspaceReport:
     q: np.ndarray             # orthonormal basis of col(A), d_in x r
     residual: float           # ||dW - Q Q^T dW||_F / max(||dW||_F, tiny)
     numerical_rank: int
-
-
-def compress_decompress(a: np.ndarray, dw: np.ndarray) -> CompressionTranscript:
-    """Project a full weight gradient through A and lift it back."""
-    if a.ndim != 2 or dw.ndim != 2 or a.shape[0] != dw.shape[0]:
-        raise DimensionError(f"incompatible shapes A {a.shape}, dW {dw.shape}")
-    compressed = a.T @ dw
-    return CompressionTranscript(dw=dw, compressed=compressed, decompressed=a @ compressed)
 
 
 def verify_sgd_equivalence(

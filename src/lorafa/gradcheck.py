@@ -1,9 +1,12 @@
 """Central finite-difference gradient checking.
 
 The oracle is intentionally independent of the analytic backward rules: it
-perturbs one input coordinate at a time with step 1e-6 * max(1, |x|) and
+perturbs one input coordinate at a time with step 6e-6 * max(1, |x|) and
 compares the directional derivative of a scalar probe against the vjp.
-All checks run in float64; they are not meaningful in float32.
+6e-6 is about cbrt(eps), which balances the central difference's O(h^2)
+truncation error against its O(eps / h) rounding error; at 1e-6 rounding
+put layer_norm over 1e-5 on some seeds. All checks run in float64; they
+are not meaningful in float32.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from . import ops
 from .rng import RngState, randint, randn
 
-FD_STEP = 1e-6
+FD_STEP = 6e-6
 # Relative-error denominators are floored so that finite-difference noise on
 # near-zero gradient entries does not register as spurious failure.
 REL_FLOOR = 1e-4

@@ -3,8 +3,9 @@
 Accounting follows the 16-bit mixed-precision convention: 2 bytes per
 element regardless of the compute precision actually used, with n = 12 d^2 L
 block-linear weight parameters and n_r = 18 d r L adapter parameters.
-Per mode the trainable-state bytes (gradient, optimizer moments, master
-copies, and for adapter modes the adapter weights themselves) are
+The trainable state is 14 bytes per trained W element (gradient, optimizer
+moments, master copy) and 16 per trained adapter element (plus the adapter
+weight itself); A and B hold n_r / 2 elements each, so per mode it is
 
     ft       14 n
     lora     16 n_r
@@ -13,7 +14,8 @@ copies, and for adapter modes the adapter weights themselves) are
 
 and the linear-input activation bytes come in two flavors:
 
-  * paper_constant: the standard closed forms 14 b s d L (ft),
+  * paper_constant: 7 b s d L elements if the mode retains the full input
+    plus 4 b s r L if it has an adapter, in bytes 14 b s d L (ft),
     14 b s d L + 8 b s r L (lora), 8 b s r L (lora-fa);
   * per_layer_count: enumeration over the six block layers with
     query/key/value sharing one stored input, times 2 bytes.
@@ -27,12 +29,12 @@ softmax) is measured by the meter but excluded from analytic comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .adapters import Mode
+from .adapters import Mode, RetainedActivations
 from .errors import ParameterError, ReconciliationError
-from .model import ModelConfig, Tape, block_layer_specs
+from .model import ModelConfig, Tape, block_layer_specs, count_trainable_formula
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
 
@@ -119,13 +121,7 @@ def analytic_linear_elements(
 def _paper_constant_elements(config: ModelConfig, mode: Mode, rank: int, b: int, s: int):
     """Quoted closed forms, in elements (bytes / 2): 7bsdL full, 4bsrL low."""
     bsL = b * s * config.n_layers
-    if mode is Mode.FT:
-        return 7 * bsL * config.d, 0
-    if mode is Mode.LORA:
-        return 7 * bsL * config.d, 4 * bsL * rank
-    if mode is Mode.LORA_FA:
-        return 0, 4 * bsL * rank
-    return 0, 0
+    return 7 * bsL * config.d * mode.retains_full_input, 4 * bsL * rank * mode.has_adapter
 
 
 def analytic_report(
@@ -147,18 +143,14 @@ def analytic_report(
         raise ParameterError(f"unknown activation model {activation_model!r}")
     if not isinstance(mode, Mode):
         raise ParameterError(f"unknown mode {mode!r}")
+    for name, value in (("rank", rank), ("b", b), ("s", s)):
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
     mods = modifiers or Modifiers()
     n = weight_param_count(config)
-    n_r = adapter_param_count(config, rank)
     weight_bytes = 2.0 * n * (mods.weight_bits / 16.0) / mods.num_shards
-    if mode is Mode.FT:
-        state = 14.0 * n
-    elif mode is Mode.LORA:
-        state = 16.0 * n_r
-    elif mode is Mode.LORA_FA:
-        state = 8.0 * n_r
-    else:
-        state = 0.0
+    state_per_element = 14.0 if "w" in mode.trains else 16.0
+    state = state_per_element * count_trainable_formula(config, mode, rank)
     if activation_model == "paper_constant":
         full, low = _paper_constant_elements(config, mode, rank, b, s)
     else:
@@ -202,24 +194,35 @@ class MeasuredActivations:
 def measured_activation_elements(tape: Tape) -> MeasuredActivations:
     """Count retained activation elements per category from a forward tape.
 
-    A tensor referenced by several layers (the shared query/key/value
-    input) is counted once, attributed to the first layer that retained it.
+    Walks the arrays backward reads: each block cache in field order (its
+    RetainedActivations are the linear inputs, keyed by layer), then the
+    final layernorm, head input and loss softmax. A tensor referenced by
+    several layers (the shared query/key/value input) is counted once,
+    attributed to the first layer that retained it.
     """
     seen: set[int] = set()
     out = MeasuredActivations()
-    for category, key, arr in tape.records:
-        if id(arr) in seen:
-            continue
+
+    def count(arr) -> int:
+        if arr is None or id(arr) in seen:
+            return 0
         seen.add(id(arr))
-        n = int(arr.size)
-        if category == "linear_full":
-            out.linear_full += n
-            out.per_layer.setdefault(key, {"full": 0, "low": 0})["full"] += n
-        elif category == "linear_low":
-            out.linear_low += n
-            out.per_layer.setdefault(key, {"full": 0, "low": 0})["low"] += n
-        else:
-            out.other += n
+        return arr.size
+
+    for i, cache in enumerate(tape.block_caches):
+        for f in fields(cache):
+            value = getattr(cache, f.name)
+            if not isinstance(value, RetainedActivations):
+                out.other += count(value)
+                continue
+            full = count(value.x_full) if value.has_x_full else 0
+            low = count(value.x_low) if value.has_x_low else 0
+            if full or low:
+                out.per_layer[f"block{i}.{f.name}"] = {"full": full, "low": low}
+            out.linear_full += full
+            out.linear_low += low
+    for arr in (tape.lnf_xhat, tape.lnf_inv, tape.head_input, tape.loss_probs):
+        out.other += count(arr)
     return out
 
 

@@ -1,10 +1,10 @@
 """GPT-style transformer assembled from adapted linear layers.
 
 Backprop here is a fixed tape over the known block structure, not a
-general autodiff graph: the forward pass records exactly what each op's
+general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
-mode's retention policy and everything else (attention, GeLU, layernorm,
-loss softmax) filed under the "other" activation category.
+mode's retention policy. The memory meter counts the same tape, filing all
+else (attention, GeLU, layernorm, loss softmax) under "other".
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -141,8 +141,8 @@ def build_model(
     """
     if rng is None:
         rng = RngState(0)
-    if mode.has_adapter and rank > config.d:
-        raise ParameterError(f"rank {rank} exceeds hidden dimension {config.d}")
+    if rank < 1 or (mode.has_adapter and rank > config.d):
+        raise ParameterError(f"rank {rank} outside [1, hidden dimension {config.d}]")
     rng_w = derive(rng, "weights")
     rng_a = derive(rng, "adapters")
     rng_e = derive(rng, "embeddings")
@@ -185,35 +185,36 @@ def build_model(
 
 @dataclass
 class BlockCache:
+    """One block's retained arrays in forward order; a RetainedActivations
+    field carries its layer's block_layer_specs name, the meter's key."""
+
     ln1_xhat: np.ndarray
     ln1_inv: np.ndarray
-    kept_q: RetainedActivations
-    kept_k: RetainedActivations
-    kept_v: RetainedActivations
+    attn_q: RetainedActivations
+    attn_k: RetainedActivations
+    attn_v: RetainedActivations
     qh: np.ndarray
     kh: np.ndarray
     vh: np.ndarray
     probs: np.ndarray
-    kept_o: RetainedActivations
+    attn_o: RetainedActivations
     ln2_xhat: np.ndarray
     ln2_inv: np.ndarray
-    kept_f1: RetainedActivations
+    ffn1: RetainedActivations
     gelu_in: np.ndarray
-    kept_f2: RetainedActivations
+    ffn2: RetainedActivations
 
 
 @dataclass
 class Tape:
-    """Everything retained by one forward pass, in registration order.
+    """Everything one forward pass retained for backward.
 
-    records holds (category, key, array) for the activation meter, where
-    category is one of {"linear_full", "linear_low", "other"}. The
-    structured caches drive the backward pass.
+    Backward reads it and the activation meter counts it: the block
+    caches, then lnf_xhat, lnf_inv, head_input (ft only) and loss_probs.
     """
 
     b: int
     s: int
-    records: list[tuple[str, str, np.ndarray]] = field(default_factory=list)
     block_caches: list[BlockCache] = field(default_factory=list)
     tokens: Optional[np.ndarray] = None
     targets: Optional[np.ndarray] = None
@@ -223,15 +224,6 @@ class Tape:
     loss_probs: Optional[np.ndarray] = None
     loss_mask: Optional[np.ndarray] = None
     loss_count: int = 0
-
-    def retain(self, category: str, key: str, arr: np.ndarray) -> None:
-        self.records.append((category, key, arr))
-
-    def retain_kept(self, key: str, kept: RetainedActivations) -> None:
-        if kept.has_x_full:
-            self.retain("linear_full", key, kept.x_full)
-        if kept.has_x_low:
-            self.retain("linear_low", key, kept.x_low)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -244,21 +236,14 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _block_forward(model, i: int, block: Block, x: np.ndarray, tape: Tape) -> np.ndarray:
+def _block_forward(model, block: Block, x: np.ndarray, tape: Tape) -> np.ndarray:
     nh = model.config.n_heads
     dh = model.config.d // nh
-    pre = f"block{i}"
 
     h, xh1, inv1 = ops.layer_norm(x, block.ln1_gamma, block.ln1_beta)
-    tape.retain("other", f"{pre}.ln1", xh1)
-    tape.retain("other", f"{pre}.ln1", inv1)
-
     q, kept_q = adapters.forward(block.attn_q, h)
     k, kept_k = adapters.forward(block.attn_k, h)
     v, kept_v = adapters.forward(block.attn_v, h)
-    tape.retain_kept(f"{pre}.attn_q", kept_q)
-    tape.retain_kept(f"{pre}.attn_k", kept_k)
-    tape.retain_kept(f"{pre}.attn_v", kept_v)
 
     qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
     scores = qh @ np.swapaxes(kh, -1, -2)
@@ -267,37 +252,28 @@ def _block_forward(model, i: int, block: Block, x: np.ndarray, tape: Tape) -> np
     future = np.triu(np.ones((s_len, s_len), dtype=bool), 1)
     np.copyto(scores, -np.inf, where=future)
     probs = ops.softmax_rows(scores)
-    for key, arr in (("attn_q_heads", qh), ("attn_k_heads", kh),
-                     ("attn_v_heads", vh), ("attn_probs", probs)):
-        tape.retain("other", f"{pre}.{key}", arr)
 
     ctx = _merge_heads(probs @ vh)
     attn_out, kept_o = adapters.forward(block.attn_o, ctx)
-    tape.retain_kept(f"{pre}.attn_o", kept_o)
     # Residual adds land in the branch output's buffer, which nothing retains.
     attn_out += x
     x = attn_out
 
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
-    tape.retain("other", f"{pre}.ln2", xh2)
-    tape.retain("other", f"{pre}.ln2", inv2)
     f1, kept_f1 = adapters.forward(block.ffn1, h2)
-    tape.retain_kept(f"{pre}.ffn1", kept_f1)
     g = ops.gelu(f1)
-    tape.retain("other", f"{pre}.gelu", f1)
     f2, kept_f2 = adapters.forward(block.ffn2, g)
-    tape.retain_kept(f"{pre}.ffn2", kept_f2)
     f2 += x
     x = f2
 
     tape.block_caches.append(
         BlockCache(
             ln1_xhat=xh1, ln1_inv=inv1,
-            kept_q=kept_q, kept_k=kept_k, kept_v=kept_v,
+            attn_q=kept_q, attn_k=kept_k, attn_v=kept_v,
             qh=qh, kh=kh, vh=vh, probs=probs,
-            kept_o=kept_o,
+            attn_o=kept_o,
             ln2_xhat=xh2, ln2_inv=inv2,
-            kept_f1=kept_f1, gelu_in=f1, kept_f2=kept_f2,
+            ffn1=kept_f1, gelu_in=f1, ffn2=kept_f2,
         )
     )
     return x
@@ -315,16 +291,12 @@ def _forward(model: TransformerModel, tokens: np.ndarray):
         raise DataError("token id out of range")
     tape = Tape(b=b, s=s, tokens=tokens)
     x = model.tok_emb[tokens] + model.pos_emb[:s]
-    for i, block in enumerate(model.blocks):
-        x = _block_forward(model, i, block, x, tape)
-    h, xhf, invf = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
-    tape.retain("other", "ln_f", xhf)
-    tape.retain("other", "ln_f", invf)
-    tape.lnf_xhat, tape.lnf_inv = xhf, invf
-    if model.mode is Mode.FT:
+    for block in model.blocks:
+        x = _block_forward(model, block, x, tape)
+    h, tape.lnf_xhat, tape.lnf_inv = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
+    if model.mode.trains_dense:
         # Tied head: h is needed for the embedding gradient only when training it.
         tape.head_input = h
-        tape.retain("other", "head", h)
     logits = ops.matmul(h, model.tok_emb.T)
     return logits, tape
 
@@ -361,7 +333,6 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     tape.loss_mask = mask
     tape.loss_count = count
     tape.targets = targets
-    tape.retain("other", "loss_probs", probs)
     picked = np.where(mask, targets, 0)
     ll = np.take_along_axis(log_probs, picked[..., None], axis=-1)[..., 0]
     loss = -float(np.sum(ll[mask])) / count
@@ -375,22 +346,22 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
 def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str):
     nh = model.config.n_heads
     dh = model.config.d // nh
-    ft = model.mode is Mode.FT
+    dense = model.mode.trains_dense
 
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid))))
-    dupstream, g_f2 = adapters.backward(block.ffn2, cache.kept_f2, dx)
+    dupstream, g_f2 = adapters.backward(block.ffn2, cache.ffn2, dx)
     _store(grads, f"{pre}.ffn2", g_f2)
     df1 = ops.gelu_vjp(cache.gelu_in, dupstream)
-    dh2, g_f1 = adapters.backward(block.ffn1, cache.kept_f1, df1)
+    dh2, g_f1 = adapters.backward(block.ffn1, cache.ffn1, df1)
     _store(grads, f"{pre}.ffn1", g_f1)
     dx_mid, dg2, db2 = ops.layer_norm_vjp(cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2)
     dx_mid += dx
-    if ft:
+    if dense:
         grads[f"{pre}.ln2.gamma"] = dg2
         grads[f"{pre}.ln2.beta"] = db2
 
     # x_mid = x_in + attn_o(attention(q, k, v))
-    dctx, g_o = adapters.backward(block.attn_o, cache.kept_o, dx_mid)
+    dctx, g_o = adapters.backward(block.attn_o, cache.attn_o, dx_mid)
     _store(grads, f"{pre}.attn_o", g_o)
     dctx_h = _split_heads(dctx, nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
@@ -400,9 +371,9 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dqh = dscores @ cache.kh
     dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
     dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-    dh1_q, g_q = adapters.backward(block.attn_q, cache.kept_q, dq)
-    dh1_k, g_k = adapters.backward(block.attn_k, cache.kept_k, dk)
-    dh1_v, g_v = adapters.backward(block.attn_v, cache.kept_v, dv)
+    dh1_q, g_q = adapters.backward(block.attn_q, cache.attn_q, dq)
+    dh1_k, g_k = adapters.backward(block.attn_k, cache.attn_k, dk)
+    dh1_v, g_v = adapters.backward(block.attn_v, cache.attn_v, dv)
     _store(grads, f"{pre}.attn_q", g_q)
     _store(grads, f"{pre}.attn_k", g_k)
     _store(grads, f"{pre}.attn_v", g_v)
@@ -410,7 +381,7 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dh1_q += dh1_v
     dx_in, dg1, db1 = ops.layer_norm_vjp(cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q)
     dx_in += dx_mid
-    if ft:
+    if dense:
         grads[f"{pre}.ln1.gamma"] = dg1
         grads[f"{pre}.ln1.beta"] = db1
     return dx_in
@@ -436,19 +407,19 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     dlogits *= tape.loss_mask[..., None] / tape.loss_count
 
     grads: dict[str, np.ndarray] = {}
-    ft = model.mode is Mode.FT
+    dense = model.mode.trains_dense
     dh = dlogits @ model.tok_emb
-    if ft:
+    if dense:
         d2 = dlogits.reshape(-1, dlogits.shape[-1])
         h2 = tape.head_input.reshape(-1, tape.head_input.shape[-1])
         grads["tok_emb"] = d2.T @ h2
     dx, dgf, dbf = ops.layer_norm_vjp(tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh)
-    if ft:
+    if dense:
         grads["ln_f.gamma"] = dgf
         grads["ln_f.beta"] = dbf
     for i in reversed(range(len(model.blocks))):
         dx = _block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}")
-    if ft:
+    if dense:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)
         grads["tok_emb"] += dtok
@@ -468,27 +439,22 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
 def trainable_params(model: TransformerModel) -> dict[str, np.ndarray]:
     """Insertion-ordered {name: array} views of the mode's trainable set."""
     params: dict[str, np.ndarray] = {}
-    mode = model.mode
-    if mode is Mode.FT:
+    dense = model.mode.trains_dense
+    if dense:
         params["tok_emb"] = model.tok_emb
         params["pos_emb"] = model.pos_emb
     for i, block in enumerate(model.blocks):
         pre = f"block{i}"
-        if mode is Mode.FT:
+        if dense:
             params[f"{pre}.ln1.gamma"] = block.ln1_gamma
             params[f"{pre}.ln1.beta"] = block.ln1_beta
         for name, layer in block.layers().items():
-            if mode is Mode.FT:
-                params[f"{pre}.{name}.w"] = layer.w
-            elif mode is Mode.LORA:
-                params[f"{pre}.{name}.a"] = layer.a
-                params[f"{pre}.{name}.b"] = layer.b
-            elif mode is Mode.LORA_FA:
-                params[f"{pre}.{name}.b"] = layer.b
-        if mode is Mode.FT:
+            for tensor in model.mode.trains:
+                params[f"{pre}.{name}.{tensor}"] = getattr(layer, tensor)
+        if dense:
             params[f"{pre}.ln2.gamma"] = block.ln2_gamma
             params[f"{pre}.ln2.beta"] = block.ln2_beta
-    if mode is Mode.FT:
+    if dense:
         params["ln_f.gamma"] = model.lnf_gamma
         params["ln_f.beta"] = model.lnf_beta
     return params
@@ -506,25 +472,19 @@ def count_trainable(model: TransformerModel) -> TrainableCount:
     The linear-only figure is the one comparable to the closed forms, which
     exclude embeddings and layernorms.
     """
-    linear = 0
-    for _, layer in model.adapted_layers():
-        if model.mode is Mode.FT:
-            linear += layer.w.size
-        elif model.mode is Mode.LORA:
-            linear += layer.a.size + layer.b.size
-        elif model.mode is Mode.LORA_FA:
-            linear += layer.b.size
-    full = sum(p.size for p in trainable_params(model).values())
-    return TrainableCount(linear_only=linear, full=full)
+    params = trainable_params(model)
+    linear = sum(
+        p.size for key, p in params.items() if key.rpartition(".")[2] in model.mode.trains
+    )
+    return TrainableCount(linear_only=linear, full=sum(p.size for p in params.values()))
 
 
 def count_trainable_formula(config: ModelConfig, mode: Mode, rank: int) -> int:
-    """Closed-form linear-only trainable count; 12d^2L / 18drL / 9drL at d_ff=4d."""
-    d, d_ff, L = config.d, config.d_ff, config.n_layers
-    if mode is Mode.FT:
-        return L * (4 * d * d + 2 * d * d_ff)
-    if mode is Mode.LORA:
-        return L * rank * (8 * d + 2 * (d + d_ff))
-    if mode is Mode.LORA_FA:
-        return L * rank * (4 * d + d_ff + d)
-    return 0
+    """Closed-form linear-only trainable count; 12d^2L / 18drL / 9drL at d_ff=4d.
+
+    Per block W holds 4d^2 + 2 d d_ff elements, and A and B r (5d + d_ff) each.
+    """
+    d, d_ff = config.d, config.d_ff
+    adapter = rank * (5 * d + d_ff)
+    per_block = {"w": 4 * d * d + 2 * d * d_ff, "a": adapter, "b": adapter}
+    return config.n_layers * sum(per_block[tensor] for tensor in mode.trains)

@@ -3,8 +3,8 @@
 Values are plain numpy arrays in float64 or float32; every operation
 validates shapes up front and checks its output for NaN/Inf, which is
 treated as an error state rather than a value. Backward rules are paired
-functions taking exactly the tensors the forward pass retained; the
-``vjp`` dispatcher exposes them uniformly for the gradient-check harness.
+``*_vjp`` functions taking exactly the tensors the forward pass retained;
+the gradient-check harness pairs each with its forward op.
 
 No operation writes into its arguments: the tape retains forward inputs
 and outputs for backward. The elementwise kernels (GeLU, layer norm,
@@ -99,22 +99,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
     return _unbroadcast(upstream, a.shape), _unbroadcast(upstream, b.shape)
-
-
-def scale(x: np.ndarray, c: float) -> np.ndarray:
-    return ensure_finite(c * x, "scale")
-
-
-def scale_vjp(c: float, upstream: np.ndarray) -> np.ndarray:
-    return c * upstream
-
-
-def elementwise(kind: str, *args):
-    """Named elementwise dispatch: kind is one of add, scale, gelu."""
-    table = {"add": add, "scale": scale, "gelu": gelu}
-    if kind not in table:
-        raise DimensionError(f"unknown elementwise kind {kind!r}")
-    return table[kind](*args)
 
 
 def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:
@@ -278,25 +262,6 @@ def layer_norm_vjp(
     dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat if same_dtype else None), axis=axes)
     dbeta = np.sum(upstream, axis=axes)
     return ensure_finite(dx, "layer_norm vjp"), dgamma, dbeta
-
-
-def vjp(kind: str, saved: tuple, upstream: np.ndarray):
-    """Uniform dispatch over the primitive backward rules.
-
-    ``saved`` must be exactly the tensors the forward pass retained for
-    ``kind``; see the individual *_vjp functions for each signature.
-    """
-    table = {
-        "matmul": lambda: matmul_vjp(*saved, upstream),
-        "add": lambda: add_vjp(*saved, upstream),
-        "scale": lambda: scale_vjp(*saved, upstream),
-        "gelu": lambda: gelu_vjp(*saved, upstream),
-        "softmax_rows": lambda: softmax_rows_vjp(*saved, upstream),
-        "layer_norm": lambda: layer_norm_vjp(*saved, upstream),
-    }
-    if kind not in table:
-        raise DimensionError(f"unknown op kind {kind!r}")
-    return table[kind]()
 
 
 def _apply_reflector(v: np.ndarray, block: np.ndarray) -> None:

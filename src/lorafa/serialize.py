@@ -128,11 +128,6 @@ def model_from_json(obj: dict):
     )
 
 
-def save_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
-
-
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -14,6 +14,7 @@ from .equivalence import SUBSPACE_PASS_RESIDUAL, subspace_check
 from .errors import LorafaError, NumericsError, ParameterError
 from .model import (
     ModelConfig,
+    Tape,
     TransformerModel,
     backward,
     build_model,
@@ -124,6 +125,13 @@ def _merged_weights(model: TransformerModel) -> dict[str, np.ndarray]:
     return {name: adapters.merge(layer) for name, layer in model.adapted_layers()}
 
 
+def _meter(cfg: RunConfig, tape: Tape) -> tuple[dict, dict]:
+    """The report's measured activations and their reconciliation, from one tape."""
+    measured = memory.measured_activation_elements(tape)
+    reconciliation = memory.reconcile(cfg.model, cfg.mode, cfg.rank, measured, tape.b, tape.s)
+    return measured.to_dict(), reconciliation
+
+
 def _equiv_snapshot(model: TransformerModel, merged_0: dict, step: int) -> dict:
     worst_residual = 0.0
     worst_rank = 0
@@ -176,11 +184,7 @@ def train_run(cfg: RunConfig) -> RunReport:
         try:
             loss, tape = forward_loss(model, tokens, targets)
             if step == 0:
-                measured = memory.measured_activation_elements(tape)
-                measured_dict = measured.to_dict()
-                reconciliation = memory.reconcile(
-                    mc, cfg.mode, cfg.rank, measured, tokens.shape[0], tokens.shape[1]
-                )
+                measured_dict, reconciliation = _meter(cfg, tape)
             loss_curve.append(loss)
             grads = backward(model, tape)
             if cfg.optimizer == "adamw":
@@ -197,12 +201,7 @@ def train_run(cfg: RunConfig) -> RunReport:
     if cfg.steps == 0:
         # measure the untouched model once so the report is still complete
         tokens, targets = dataset.batch(0, mc.batch_size)
-        _, tape = forward_loss(model, tokens, targets)
-        measured = memory.measured_activation_elements(tape)
-        measured_dict = measured.to_dict()
-        reconciliation = memory.reconcile(
-            mc, cfg.mode, cfg.rank, measured, tokens.shape[0], tokens.shape[1]
-        )
+        measured_dict, reconciliation = _meter(cfg, forward_loss(model, tokens, targets)[1])
 
     final_loss = None
     if status == "ok":

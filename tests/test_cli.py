@@ -155,6 +155,25 @@ def test_memreport_probe_reconciles(capsys):
     assert rep["measured"]["linear_low_elements"] == 6 * 1 * 2 * 8 * 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--d", "0", "--rank", "0"],
+    ["--layers", "0"],
+    ["--seq-len", "0"],
+    ["--rank", "0"],
+    ["--rank", "-3"],
+])
+def test_memreport_bad_sizes_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, "memreport", *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and "config error" in err
+
+
+def test_train_rank_zero_is_config_error(capsys):
+    code, _, err = run_cli(capsys, "train", "--steps", "1", "--rank", "0")
+    assert code == EXIT_CONFIG
+    assert "rank 0" in err
+
+
 def test_equiv_command_passes(capsys):
     code, out, _ = run_cli(capsys, "equiv", "--seed", "0", "--layers", "10",
                            "--samples", "100000")

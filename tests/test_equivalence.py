@@ -5,7 +5,6 @@ from lorafa import ops
 from lorafa.adapters import AdaptedLinear, Mode, init_adapter
 from lorafa.equivalence import (
     RANK_FROM_COEFF_RESIDUAL,
-    compress_decompress,
     estimate_unbiasedness,
     rbar,
     subspace_check,
@@ -14,40 +13,6 @@ from lorafa.equivalence import (
 from lorafa.errors import DimensionError, ModeError
 from lorafa.ops import numerical_rank, qr
 from lorafa.rng import RngState, randn
-
-
-# --- compress / decompress ----------------------------------------------------
-
-def test_compress_basis_column():
-    a = np.array([[1.0], [0.0]])
-    dw = np.array([[2.0, 3.0], [0.0, 0.0]])
-    t = compress_decompress(a, dw)
-    assert np.array_equal(t.compressed, [[2.0, 3.0]])
-    assert np.array_equal(t.decompressed, dw)
-
-
-def test_compress_annihilates_orthogonal_complement():
-    # with orthonormal A the projector A A^T kills anything off col(A)
-    m = randn((6, 2), RngState(0))
-    a, _ = qr(m)
-    dw_perp = randn((6, 3), RngState(1))
-    dw_perp -= a @ (a.T @ dw_perp)
-    t = compress_decompress(a, dw_perp)
-    assert np.max(np.abs(t.decompressed)) < 1e-12
-
-
-def test_decompressed_rank_bounded_by_r():
-    rng = RngState(2)
-    for _ in range(5):
-        a = randn((10, 3), rng)
-        dw = randn((10, 7), rng)
-        t = compress_decompress(a, dw)
-        assert numerical_rank(t.decompressed) <= 3
-
-
-def test_compress_shape_error():
-    with pytest.raises(DimensionError):
-        compress_decompress(np.ones((4, 2)), np.ones((5, 3)))
 
 
 # --- SGD equivalence -------------------------------------------------------------

@@ -126,6 +126,12 @@ def test_modifier_validation():
         analytic_report(make_cfg(), Mode.FT, 1, 1, 1, activation_model="guess")
 
 
+@pytest.mark.parametrize("rank,b,s", [(0, 1, 1), (-3, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_analytic_report_rejects_sizes_below_one(rank, b, s):
+    with pytest.raises(ParameterError):
+        analytic_report(make_cfg(), Mode.LORA_FA, rank, b, s)
+
+
 # --- ordering and monotonicity ---------------------------------------------------
 
 def test_mode_ordering_of_totals():
@@ -210,6 +216,20 @@ def test_low_rank_retention_scales_exactly_with_rank():
         meas = measured_activation_elements(run_forward(cfg, Mode.LORA_FA, rank))
         assert meas.linear_low == 6 * cfg.n_layers * 2 * 8 * rank
         assert meas.linear_full == 0
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA, Mode.FROZEN])
+def test_meter_other_elements_closed_form(mode):
+    d, L, h, s, b, vocab = 16, 3, 2, 6, 2, 11
+    cfg = make_cfg(d=d, L=L, heads=h, vocab=vocab, s=s, b=b)
+    bsd, bs = b * s * d, b * s
+    # per block: two layer norms (x_hat, inv_std), q/k/v heads, attention
+    # probabilities, GeLU input; then the final layer norm and loss softmax
+    per_block = 2 * (bsd + bs) + 3 * bsd + b * h * s * s + b * s * cfg.d_ff
+    other = L * per_block + bsd + bs + b * s * vocab
+    if mode is Mode.FT:
+        other += bsd  # the tied head's input, kept to train the embedding
+    assert measured_activation_elements(run_forward(cfg, mode, 2)).other == other
 
 
 def test_shared_qkv_input_counted_once():

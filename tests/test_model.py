@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from lorafa.adapters import Mode
+from lorafa.adapters import Mode, RetainedActivations
 from lorafa.errors import DataError, DimensionError, ParameterError
 from lorafa.gradcheck import check_tiny_model
 from lorafa.model import (
@@ -209,6 +211,13 @@ def test_rank_larger_than_d_rejected():
         build_model(CFG, Mode.LORA, rank=CFG.d + 1, rng=RngState(0))
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_rank_below_one_rejected(mode):
+    # the default alpha is 1 / rank, so rank 0 used to end in ZeroDivisionError
+    with pytest.raises(ParameterError):
+        build_model(CFG, mode, rank=0, rng=RngState(0))
+
+
 def test_targets_are_validated_before_the_forward_pass(monkeypatch):
     import lorafa.model as model_mod
 
@@ -239,9 +248,30 @@ def test_backward_leaves_the_tape_unchanged(mode):
         p += 0.1 * randn(p.shape, RngState(p.size))
     tokens, targets = data(6)
     _, tape = forward_loss(m, tokens, targets)
-    before = [(cat, key, arr.copy()) for cat, key, arr in tape.records]
+    before = {key: arr.copy() for key, arr in tape_arrays(tape).items()}
+    assert any(key.endswith((".x_full", ".x_low")) for key in before)
     backward(m, tape)
-    assert len(tape.records) == len(before)
-    for (cat, key, arr), (cat0, key0, arr0) in zip(tape.records, before):
-        assert (cat, key) == (cat0, key0)
-        assert arr.dtype == arr0.dtype and np.array_equal(arr, arr0), f"{cat} {key} changed"
+    after = tape_arrays(tape)
+    assert list(after) == list(before)
+    for key, arr in after.items():
+        arr0 = before[key]
+        assert arr.dtype == arr0.dtype and np.array_equal(arr, arr0), f"{key} changed"
+
+
+def tape_arrays(tape) -> dict:
+    """Every array a tape holds, named by where it sits."""
+    out = {}
+    for i, cache in enumerate(tape.block_caches):
+        for f in fields(cache):
+            value = getattr(cache, f.name)
+            if isinstance(value, RetainedActivations):
+                if value.has_x_full:
+                    out[f"block{i}.{f.name}.x_full"] = value.x_full
+                if value.has_x_low:
+                    out[f"block{i}.{f.name}.x_low"] = value.x_low
+            else:
+                out[f"block{i}.{f.name}"] = value
+    for f in fields(tape):
+        if isinstance(getattr(tape, f.name), np.ndarray):
+            out[f.name] = getattr(tape, f.name)
+    return out

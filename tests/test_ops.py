@@ -50,18 +50,6 @@ def test_add_and_errors():
         ops.add(np.ones((2, 3)), np.ones((4, 5)))
 
 
-def test_scale():
-    assert np.array_equal(ops.scale(np.array([1.0, -2.0]), 3.0), [3.0, -6.0])
-
-
-def test_elementwise_dispatch():
-    assert np.array_equal(ops.elementwise("add", np.ones(2), np.ones(2)), [2.0, 2.0])
-    assert np.array_equal(ops.elementwise("scale", np.ones(2), 2.0), [2.0, 2.0])
-    assert ops.elementwise("gelu", np.zeros(2))[1] == 0.0
-    with pytest.raises(DimensionError):
-        ops.elementwise("mod", np.ones(1))
-
-
 def test_gelu_points():
     assert ops.gelu(np.array([0.0]))[0] == 0.0
     assert abs(ops.gelu(np.array([10.0]))[0] - 10.0) < 1e-6
@@ -341,25 +329,28 @@ def test_qr_rejects_non_matrix():
         ops.qr(np.ones((4, 2, 1)))
 
 
-# --- vjp dispatch and gradient oracle ---------------------------------------
+# --- vjp rules and gradient oracle ------------------------------------------
 
 def test_vjp_matmul_with_identity_upstream():
     a = randn((3, 4), RngState(7))
     b = randn((4, 3), RngState(8))
-    da, db = ops.vjp("matmul", (a, b), np.eye(3))
+    da, db = ops.matmul_vjp(a, b, np.eye(3))
     assert np.allclose(da, b.T)
     assert np.allclose(db, a.T)
-
-
-def test_vjp_unknown_kind():
-    with pytest.raises(DimensionError):
-        ops.vjp("conv", (), np.ones(1))
 
 
 def test_primitive_gradients_match_finite_differences():
     results = check_primitives(seed=11, trials=6)
     assert results, "no primitives checked"
     for name, err in results.items():
+        assert err < 1e-5, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("seed", [34, 54])
+def test_primitive_gradients_at_seeds_sensitive_to_the_fd_step(seed):
+    # With a step well below cbrt(eps) rounding error put layer_norm over the
+    # 1e-5 bound at these seeds (20 trials, as `lorafa gradcheck` runs).
+    for name, err in check_primitives(seed=seed, trials=20).items():
         assert err < 1e-5, f"{name}: {err}"
 
 
