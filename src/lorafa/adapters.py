@@ -15,6 +15,11 @@ With frozen A the layer never stores the full-width input: a layer whose
 input dimension is d keeps only the rank-r projection, shrinking retained
 elements per token from d to r. Retention is structural, not advisory;
 asking a frozen-A layer for its full input raises RetentionPolicyError.
+
+In every mode the layer is one dense map, y = x (W + alpha A B) and
+dx = dy (W + alpha A B)^T: forward and backward rebuild the weight ``merge``
+returns (one d_in x r x d_out product), so an adapter adds no b*s-row
+product but x@A, which dB reads.
 """
 
 from __future__ import annotations
@@ -103,9 +108,9 @@ class RetainedActivations:
 
 
 class AdaptedLinear:
-    """A d_in x d_out linear map with an optional low-rank adapter branch.
+    """A d_in x d_out linear map with an optional low-rank adapter.
 
-    y = x @ W + alpha * (x @ A) @ B  when an adapter is present, else x @ W.
+    y = x @ (W + alpha * A @ B) when an adapter is present, else x @ W.
     Bias terms are omitted. A is d_in x r (projection down), B is r x d_out
     (projection up); alpha defaults to 1/r and is kept as a Python float, so
     scaling by it never promotes the layer's dtype.
@@ -173,8 +178,8 @@ def init_adapter(
         raise ParameterError(f"a_std must be positive, got {a_std}")
     if alpha is None:
         alpha = 1.0 / rank
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if w is None:
         w = randn((d_in, d_out), rng, std=w_std if w_std is not None else 1.0 / np.sqrt(d_in))
     elif w.shape != (d_in, d_out):
@@ -187,28 +192,34 @@ def init_adapter(
 
 
 def forward(layer: AdaptedLinear, x: np.ndarray):
-    """Apply the layer; returns (y, kept) with retention fixed by the mode."""
+    """y = x (W + alpha A B), plus x@A in adapter modes; returns (y, kept)."""
     if x.shape[-1] != layer.d_in:
         raise DimensionError(
             f"input trailing extent {x.shape[-1]} != d_in {layer.d_in}"
         )
-    y = matmul(x, layer.w)
-    x_low = None
-    if layer.mode.has_adapter:
-        x_low = matmul(x, layer.a)
-        y = ensure_finite(_add_branch(y, layer.alpha, matmul(x_low, layer.b)), "adapter forward")
+    y = matmul(x, _merged(layer))
     kept = RetainedActivations(
         x_full=x if layer.mode.retains_full_input else None,
-        x_low=x_low,
+        x_low=matmul(x, layer.a) if layer.mode.has_adapter else None,
     )
     return y, kept
 
 
-def _add_branch(y: np.ndarray, alpha: float, branch: np.ndarray) -> np.ndarray:
-    """y + alpha * branch, in the buffers of y and branch (fresh products owned
-    by the caller) unless branch's dtype would promote y's."""
-    branch *= alpha
-    return np.add(y, branch, out=y if y.dtype == branch.dtype else None)
+def _merged(layer: AdaptedLinear, transpose: bool = False) -> np.ndarray:
+    """W + alpha * A @ B, or with transpose W^T + alpha * B^T @ A^T.
+
+    W itself without an adapter; else a fresh array, bit for bit the plain
+    expression, built in the product's buffer unless W's dtype would promote
+    it. The transpose is built, not viewed, and each view made only when
+    used: numpy allocates a shape block per view, so a W_eff.T view held
+    next to matmul's folding views adds to a lora-fa step's memory peak.
+    """
+    if not layer.mode.has_adapter:
+        return layer.w.T if transpose else layer.w
+    w_eff = layer.b.T @ layer.a.T if transpose else layer.a @ layer.b
+    w_eff *= layer.alpha
+    w = layer.w.T if transpose else layer.w
+    return np.add(w_eff, w, out=w_eff if w_eff.dtype == np.result_type(w_eff, w) else None)
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -219,8 +230,9 @@ def _fold(x: np.ndarray) -> np.ndarray:
 def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
     """Input gradient plus exactly the mode's trainable-parameter gradients.
 
-    dx = dy @ W^T + alpha * (dy @ B^T) @ A^T. Parameter gradients fold the
-    leading dims without averaging (loss normalization owns averaging):
+    dx = dy (W + alpha A B)^T, rebuilt from the A and B forward used, so
+    nothing but the mode's activations is retained. Parameter gradients fold
+    the leading dims without averaging (loss normalization owns averaging):
       ft:      dW = x^T dy
       lora:    dA = alpha * x^T (dy B^T),  dB = alpha * (x A)^T dy
       lora-fa: dB only, computed from the retained x@A; the full input is
@@ -230,10 +242,7 @@ def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
         raise DimensionError(
             f"upstream trailing extent {dy.shape[-1]} != d_out {layer.d_out}"
         )
-    dx = matmul(dy, layer.w.T)
-    if layer.mode.has_adapter:
-        branch = matmul(matmul(dy, layer.b.T), layer.a.T)
-        dx = ensure_finite(_add_branch(dx, layer.alpha, branch), "adapter backward")
+    dx = matmul(dy, _merged(layer, transpose=True))
     dy2 = _fold(dy)
     grads = {
         name: ensure_finite(_GRADIENTS[name](layer, kept, dy2), "adapter backward")
@@ -254,5 +263,5 @@ def merge(layer: AdaptedLinear) -> np.ndarray:
     """Fold the adapter into a dense weight: W + alpha * A @ B. Pure."""
     if not layer.mode.has_adapter:
         raise ModeError(f"merge requires an adapter mode, layer is {layer.mode.value}")
-    return ensure_finite(layer.w + layer.alpha * (layer.a @ layer.b), "merge")
+    return ensure_finite(_merged(layer), "merge")
 

@@ -156,6 +156,9 @@ def cmd_memreport(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
+    for flag in ("layers", "samples"):
+        if getattr(args, flag) < 1:
+            raise ParameterError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     rng = RngState(args.seed)
     all_pass = True
 

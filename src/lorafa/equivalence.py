@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DimensionError, ModeError
+from .errors import DimensionError, ModeError, ParameterError
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -76,6 +76,8 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     Shrinks at the Monte-Carlo rate ~1/sqrt(num_samples); entries of A are
     unit-variance normals.
     """
+    if num_samples < 1:
+        raise ParameterError(f"num_samples must be >= 1, got {num_samples}")
     acc = np.zeros((d, d))
     chunk = max(1, min(num_samples, 20000))
     left = num_samples
@@ -122,8 +124,3 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
         numerical_rank=ops.numerical_rank(coeff if in_subspace else delta_w),
     )
 
-
-def rbar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """R @ B, the coefficients of delta_w's columns in the QR basis of A."""
-    _, r_factor = ops.qr(a)
-    return r_factor @ b

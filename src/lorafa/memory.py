@@ -92,12 +92,6 @@ def weight_param_count(config: ModelConfig) -> int:
     return per_block * config.n_layers
 
 
-def adapter_param_count(config: ModelConfig, rank: int) -> int:
-    """A plus B elements across all adapted layers; 18 d r L when d_ff = 4d."""
-    per_block = sum((d_in + d_out) * rank for _, d_in, d_out, _ in block_layer_specs(config))
-    return per_block * config.n_layers
-
-
 def analytic_linear_elements(
     config: ModelConfig, mode: Mode, rank: int, b: int, s: int
 ) -> dict[str, dict[str, int]]:

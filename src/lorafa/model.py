@@ -29,16 +29,19 @@ IGNORE_TARGET = -1
 
 
 def require_number(name: str, value, integral: bool = False) -> None:
-    """ParameterError unless value is a real number (an integer if integral).
+    """ParameterError unless value is an integer (if integral) or a finite real.
 
-    Config values arrive from JSON files, so a quoted "5" or a true must end
-    in a config error, not in a TypeError from the first comparison.
+    Config values arrive from JSON files, so a quoted "5", a true or an
+    Infinity must end in a config error, not in a TypeError from the first
+    comparison or in a run that diverges.
     """
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParameterError(
             f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}"
         )
+    if not integral and not np.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -408,7 +411,7 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
 
     grads: dict[str, np.ndarray] = {}
     dense = model.mode.trains_dense
-    dh = dlogits @ model.tok_emb
+    dh = ops.matmul(dlogits, model.tok_emb)
     if dense:
         d2 = dlogits.reshape(-1, dlogits.shape[-1])
         h2 = tape.head_input.reshape(-1, tape.head_input.shape[-1])

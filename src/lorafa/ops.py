@@ -53,14 +53,26 @@ def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; leading dimensions of ``a`` are treated as batch."""
+    """Matrix product; leading dimensions of ``a`` are treated as batch.
+
+    A (..., k) activation times a 2-d (k, n) weight is folded to one
+    (rows, k) @ (k, n) GEMM, not numpy's stacked per-batch products, and
+    written into a fresh buffer of the result's shape, so the result owns
+    its memory and a tape retaining it keeps nothing else alive.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    return ensure_finite(a @ b, "matmul")
+    if a.ndim > 2 and b.ndim == 2:
+        out = np.empty(a.shape[:-1] + b.shape[1:], np.result_type(a, b))
+        rows = math.prod(a.shape[:-1])
+        np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
+    else:
+        out = a @ b
+    return ensure_finite(out, "matmul")
 
 
 def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
@@ -77,28 +89,6 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
     else:
         db = np.swapaxes(a, -1, -2) @ upstream
     return ensure_finite(da, "matmul vjp"), ensure_finite(db, "matmul vjp")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        out = a + b
-    except ValueError as exc:
-        raise DimensionError(f"add shapes not broadcastable: {a.shape} + {b.shape}") from exc
-    return ensure_finite(out, "add")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def add_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
-    return _unbroadcast(upstream, a.shape), _unbroadcast(upstream, b.shape)
 
 
 def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:

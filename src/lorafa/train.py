@@ -52,6 +52,8 @@ class RunConfig:
             require_number(name, getattr(self, name))
         if self.alpha is not None:
             require_number("alpha", self.alpha)
+        if self.report_path is not None and not isinstance(self.report_path, str):
+            raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
         if self.optimizer not in ("adamw", "sgd"):
             raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
         if self.steps < 0:

@@ -49,6 +49,17 @@ def test_init_alpha_default_is_reciprocal_rank():
     assert layer.alpha == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("inf"), float("nan")])
+def test_init_rejects_alpha_not_positive_and_finite(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        make_layer(Mode.LORA_FA, alpha=alpha)
+
+
+def test_gradcheck_rejects_zero_trials():
+    with pytest.raises(ParameterError, match="trials"):
+        check_adapter_layer(Mode.LORA_FA, trials=0)
+
+
 def test_a_has_full_numerical_rank_across_seeds():
     for seed in range(100):
         layer = init_adapter(64, 64, 8, None, Mode.LORA_FA, RngState(seed))
@@ -56,10 +67,13 @@ def test_a_has_full_numerical_rank_across_seeds():
 
 
 def test_zero_init_transparency():
-    layer = make_layer(Mode.LORA, d_in=8, d_out=7, rank=2)
     x = randn((3, 4, 8), RngState(2))
-    y, _ = adapters.forward(layer, x)
-    assert np.array_equal(y, x @ layer.w)
+    for mode in (Mode.LORA, Mode.LORA_FA):
+        layer = make_layer(mode, d_in=8, d_out=7, rank=2)
+        y, _ = adapters.forward(layer, x)
+        assert np.array_equal(y, x @ layer.w)
+        y2, _ = adapters.forward(layer, x[0])
+        assert np.array_equal(y2, x[0] @ layer.w)
 
 
 # --- forward ---------------------------------------------------------------
@@ -164,6 +178,27 @@ def test_backward_matches_finite_differences():
         assert check_adapter_layer(mode, seed=21, trials=4) < 1e-5
 
 
+@pytest.mark.parametrize("mode", [Mode.LORA, Mode.LORA_FA])
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_forward_is_x_times_the_merged_weight(mode, lead):
+    layer = make_layer(mode, d_in=12, d_out=9, rank=4, seed=5, random_b=True)
+    x = randn(lead + (7, 12), RngState(40))
+    y, _ = adapters.forward(layer, x)
+    x2 = x.reshape(-1, 12)
+    assert np.array_equal(y, (x2 @ merge(layer)).reshape(y.shape))
+
+
+@pytest.mark.parametrize("mode", [Mode.LORA, Mode.LORA_FA])
+def test_backward_dx_matches_the_unmerged_branch(mode):
+    layer = make_layer(mode, d_in=12, d_out=9, rank=4, seed=6, random_b=True)
+    x = randn((2, 5, 12), RngState(41))
+    dy = randn((2, 5, 9), RngState(42))
+    _, kept = adapters.forward(layer, x)
+    dx, _ = adapters.backward(layer, kept, dy)
+    reference = dy @ layer.w.T + layer.alpha * ((dy @ layer.b.T) @ layer.a.T)
+    assert np.max(np.abs(dx - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_backward_rejects_mismatched_upstream():
     layer = make_layer(Mode.FT)
     x = randn((2, 6), RngState(14))
@@ -183,7 +218,7 @@ def test_merge_equivalence_float64():
     layer = make_layer(Mode.LORA_FA, d_in=12, d_out=9, rank=4, seed=3, random_b=True)
     x = randn((5, 12), RngState(30))
     y, _ = adapters.forward(layer, x)
-    assert np.max(np.abs(x @ merge(layer) - y)) < 1e-12
+    assert np.array_equal(y, x @ merge(layer))
 
 
 def test_merge_equivalence_float32():

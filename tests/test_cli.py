@@ -194,6 +194,35 @@ def test_gradcheck_command_passes(capsys):
     assert "primitive:matmul" in names and "model:lora-fa" in names
 
 
+@pytest.mark.parametrize("argv", [
+    ("gradcheck", "--trials", "0"),
+    ("gradcheck", "--trials", "-2"),
+    ("equiv", "--samples", "0"),
+    ("equiv", "--layers", "0"),
+    ("equiv", "--layers", "-1"),
+])
+def test_counts_below_one_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"lr": Infinity}', "lr must be finite"),
+    ('{"weight_decay": NaN}', "weight_decay must be finite"),
+    ('{"alpha": Infinity}', "alpha must be finite"),
+    ('{"report_path": 7}', "report_path must be a string"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "train", "--steps", "1", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert named in err
+
+
 def test_unknown_subcommand_is_argparse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

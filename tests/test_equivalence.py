@@ -6,12 +6,11 @@ from lorafa.adapters import AdaptedLinear, Mode, init_adapter
 from lorafa.equivalence import (
     RANK_FROM_COEFF_RESIDUAL,
     estimate_unbiasedness,
-    rbar,
     subspace_check,
     verify_sgd_equivalence,
 )
-from lorafa.errors import DimensionError, ModeError
-from lorafa.ops import numerical_rank, qr
+from lorafa.errors import DimensionError, ModeError, ParameterError
+from lorafa.ops import numerical_rank
 from lorafa.rng import RngState, randn
 
 
@@ -82,6 +81,11 @@ def test_second_moment_identity_small():
     # d=2, r=1: E[a a^T] = I, so mean over many samples approaches 1*I
     err = estimate_unbiasedness(2, 1, 40_000, RngState(4))
     assert err < 0.05
+
+
+def test_unbiasedness_rejects_zero_samples():
+    with pytest.raises(ParameterError, match="num_samples"):
+        estimate_unbiasedness(8, 4, 0, RngState(5))
 
 
 def test_unbiasedness_reference_config():
@@ -175,10 +179,3 @@ def test_subspace_check_rejects_bad_shapes(a_shape, dw_shape):
     with pytest.raises(DimensionError):
         subspace_check(np.ones(a_shape), np.ones(dw_shape))
 
-
-def test_rbar_reconstructs_delta():
-    rng = RngState(11)
-    a = randn((10, 3), rng)
-    b = randn((3, 4), rng)
-    q, _ = qr(a)
-    assert np.allclose(q @ rbar(a, b), a @ b, atol=1e-10)

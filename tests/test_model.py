@@ -258,6 +258,21 @@ def test_backward_leaves_the_tape_unchanged(mode):
         assert arr.dtype == arr0.dtype and np.array_equal(arr, arr0), f"{key} changed"
 
 
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_retained_products_own_their_memory(mode):
+    # A retained view into a larger buffer would keep that buffer alive
+    # while the meter counts only the view.
+    m = build_model(CFG, mode, rank=2, rng=RngState(7))
+    _, tape = forward_loss(m, *data(8))
+    owned = {
+        key: arr for key, arr in tape_arrays(tape).items()
+        if key.endswith((".x_low", ".gelu_in"))
+    }
+    assert len(owned) == CFG.n_layers * (7 if mode.has_adapter else 1)
+    for key, arr in owned.items():
+        assert arr.base is None, f"{key} is a view"
+
+
 def tape_arrays(tape) -> dict:
     """Every array a tape holds, named by where it sits."""
     out = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorafa import ops
-from lorafa.errors import DimensionError, NumericsError
+from lorafa.errors import DimensionError, NumericsError, ParameterError
 from lorafa.gradcheck import check_primitives
 from lorafa.rng import RngState, randn
 
@@ -29,6 +29,19 @@ def test_matmul_batched_leading_dims():
     assert np.allclose(out[1], x[1] @ w)
 
 
+@pytest.mark.parametrize("lead", [(2, 3), (8, 64), (2, 2, 5)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_folds_leading_dims_into_one_product(lead, transposed):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(lead + (16,))
+    b = rng.standard_normal((11, 16)).T if transposed else rng.standard_normal((16, 11))
+    out = ops.matmul(a, b)
+    folded = a.reshape(-1, 16) @ b
+    assert out.shape == lead + (11,)
+    assert np.array_equal(out, folded.reshape(out.shape))
+    assert out.base is None and out.flags.c_contiguous
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         ops.matmul(np.ones((2, 3)), np.ones((4, 2)))
@@ -43,12 +56,6 @@ def test_matmul_nan_rejected():
 
 
 # --- elementwise ----------------------------------------------------------
-
-def test_add_and_errors():
-    assert np.array_equal(ops.add(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0])
-    with pytest.raises(DimensionError):
-        ops.add(np.ones((2, 3)), np.ones((4, 5)))
-
 
 def test_gelu_points():
     assert ops.gelu(np.array([0.0]))[0] == 0.0
@@ -344,6 +351,11 @@ def test_primitive_gradients_match_finite_differences():
     assert results, "no primitives checked"
     for name, err in results.items():
         assert err < 1e-5, f"{name}: {err}"
+
+
+def test_primitive_gradients_reject_zero_trials():
+    with pytest.raises(ParameterError, match="trials"):
+        check_primitives(trials=0)
 
 
 @pytest.mark.parametrize("seed", [34, 54])

@@ -147,6 +147,21 @@ def test_config_validation():
         ModelConfig(d=16, n_layers=1, n_heads=2, vocab=12, seq_len="8")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lr", float("inf")), ("lr", float("nan")), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")), ("alpha", float("inf")), ("alpha", float("nan")),
+])
+def test_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        small_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("value", [7, b"run.json", ["run.json"]])
+def test_config_rejects_a_report_path_that_is_not_a_string(value):
+    with pytest.raises(ParameterError, match="report_path"):
+        small_cfg(report_path=value)
+
+
 def test_config_dict_roundtrip():
     cfg = small_cfg(steps=4, alpha=0.25)
     again = RunConfig.from_dict(cfg.to_dict())
