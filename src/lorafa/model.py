@@ -14,6 +14,7 @@ no dropout. Bias terms are omitted everywhere.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,16 +32,23 @@ IGNORE_TARGET = -1
 def require_number(name: str, value, integral: bool = False) -> None:
     """ParameterError unless value is an integer (if integral) or a finite real.
 
-    Config values arrive from JSON files, so a quoted "5", a true or an
-    Infinity must end in a config error, not in a TypeError from the first
-    comparison or in a run that diverges.
+    Config values arrive from JSON files, so a quoted "5", a true, an
+    Infinity or an integer beyond the float range must end in a config
+    error, not in a TypeError from the first comparison, an OverflowError
+    in the optimizer or a run that diverges.
     """
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParameterError(
             f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}"
         )
-    if not integral and not np.isfinite(value):
+    if integral:
+        return
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 

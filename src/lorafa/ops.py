@@ -53,42 +53,36 @@ def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; leading dimensions of ``a`` are treated as batch.
+    """Product of a (..., k) activation and a 2-d (k, n) weight.
 
-    A (..., k) activation times a 2-d (k, n) weight is folded to one
-    (rows, k) @ (k, n) GEMM, not numpy's stacked per-batch products, and
-    written into a fresh buffer of the result's shape, so the result owns
-    its memory and a tape retaining it keeps nothing else alive.
+    The leading dimensions of ``a`` are folded into one (rows, k) @ (k, n)
+    GEMM, not numpy's stacked per-batch products, written into a fresh
+    buffer of the result's shape, so the result owns its memory and a tape
+    retaining it keeps nothing else alive.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise DimensionError(
+            f"matmul needs a (..., k) activation and a 2-d weight: {a.shape} x {b.shape}"
+        )
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    if a.ndim > 2 and b.ndim == 2:
-        out = np.empty(a.shape[:-1] + b.shape[1:], np.result_type(a, b))
-        rows = math.prod(a.shape[:-1])
-        np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
-    else:
-        out = a @ b
+    out = np.empty(a.shape[:-1] + b.shape[1:], np.result_type(a, b))
+    rows = math.prod(a.shape[:-1])
+    np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
     return ensure_finite(out, "matmul")
 
 
 def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
-    """d(a @ b): da = upstream @ b^T, db = a^T @ upstream.
+    """d(a @ b) for ``matmul``: da = upstream @ b^T, db = a^T @ upstream.
 
-    Batched leading dimensions are folded into db (the weight operand is
-    2-d in every layer of this repo).
+    da is one folded product like the forward's; the leading dimensions of
+    ``a`` are folded into db.
     """
-    da = upstream @ np.swapaxes(b, -1, -2)
-    if a.ndim > 2 and b.ndim == 2:
-        a2 = a.reshape(-1, a.shape[-1])
-        u2 = upstream.reshape(-1, upstream.shape[-1])
-        db = a2.T @ u2
-    else:
-        db = np.swapaxes(a, -1, -2) @ upstream
-    return ensure_finite(da, "matmul vjp"), ensure_finite(db, "matmul vjp")
+    da = matmul(upstream, b.T)
+    db = a.reshape(-1, a.shape[-1]).T @ upstream.reshape(-1, upstream.shape[-1])
+    return da, ensure_finite(db, "matmul vjp")
 
 
 def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:

@@ -223,6 +223,28 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize("name", ["lr", "weight_decay"])
+def test_integer_config_values_beyond_int64_end_in_a_typed_exit(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: 10**23}))
+    code, out, _ = run_cli(
+        capsys, "train", "--steps", "2", "--d", "16", "--layers", "1", "--heads", "2",
+        "--vocab", "12", "--seq-len", "8", "--batch-size", "2", "--n-examples", "8",
+        "--config", str(path),
+    )
+    assert code in (EXIT_OK, EXIT_DIVERGED)
+    assert json.loads(out)["config"][name] == 10**23
+
+
+def test_integer_config_value_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"lr": 1' + "0" * 400 + "}")
+    code, out, err = run_cli(capsys, "train", "--steps", "1", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "lr must be finite" in err
+
+
 def test_unknown_subcommand_is_argparse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -47,6 +47,10 @@ def test_matmul_shape_mismatch():
         ops.matmul(np.ones((2, 3)), np.ones((4, 2)))
     with pytest.raises(DimensionError):
         ops.matmul(np.ones(3), np.ones((3, 2)))
+    with pytest.raises(DimensionError, match="2-d weight"):
+        ops.matmul(np.ones((2, 3, 4)), np.ones((2, 4, 5)))
+    with pytest.raises(DimensionError, match="2-d weight"):
+        ops.matmul_vjp(np.ones((2, 3, 4)), np.ones((2, 4, 5)), np.ones((2, 3, 5)))
 
 
 def test_matmul_nan_rejected():

@@ -156,6 +156,18 @@ def test_config_rejects_non_finite_numbers(name, value):
         small_cfg(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "alpha"])
+def test_config_accepts_integers_beyond_int64(name):
+    cfg = small_cfg(**{name: 2**64 + 1})
+    assert getattr(cfg, name) == 2**64 + 1
+
+
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "alpha"])
+def test_config_rejects_integers_beyond_the_float_range(name):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        small_cfg(**{name: 10**400})
+
+
 @pytest.mark.parametrize("value", [7, b"run.json", ["run.json"]])
 def test_config_rejects_a_report_path_that_is_not_a_string(value):
     with pytest.raises(ParameterError, match="report_path"):
