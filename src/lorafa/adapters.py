@@ -158,15 +158,12 @@ def init_adapter(
     alpha: Optional[float],
     mode: Mode,
     rng: RngState,
-    a_std: float = 1.0,
     w: Optional[np.ndarray] = None,
-    w_std: Optional[float] = None,
 ) -> AdaptedLinear:
     """Build a layer: W supplied or sampled as a pretrained stand-in, A normal, B zero.
 
-    a_std defaults to 1.0 (unit-variance entries) so that E[A A^T] = rank * I
-    holds exactly; pass a_std=1/sqrt(d_in) for classic fan-in scaling. W
-    defaults to std 1/sqrt(d_in) when sampled here.
+    A has unit-variance entries, so that E[A A^T] = rank * I holds exactly;
+    W, when sampled here, has std 1/sqrt(d_in).
     """
     if rank < 1:
         raise ParameterError(f"rank must be >= 1, got {rank}")
@@ -174,19 +171,17 @@ def init_adapter(
         raise ParameterError(
             f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}"
         )
-    if not a_std > 0:
-        raise ParameterError(f"a_std must be positive, got {a_std}")
     if alpha is None:
         alpha = 1.0 / rank
     if not 0 < alpha < np.inf:
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if w is None:
-        w = randn((d_in, d_out), rng, std=w_std if w_std is not None else 1.0 / np.sqrt(d_in))
+        w = randn((d_in, d_out), rng, std=1.0 / np.sqrt(d_in))
     elif w.shape != (d_in, d_out):
         raise DimensionError(f"w has shape {w.shape}, expected {(d_in, d_out)}")
     a = b = None
     if mode.has_adapter:
-        a = randn((d_in, rank), rng, std=a_std)
+        a = randn((d_in, rank), rng)
         b = np.zeros((rank, d_out))
     return AdaptedLinear(w, a, b, rank, alpha, mode)
 

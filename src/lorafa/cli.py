@@ -17,8 +17,7 @@ from .equivalence import SUBSPACE_PASS_RESIDUAL, estimate_unbiasedness, subspace
 from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
 from .model import ModelConfig, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
-from .serialize import dumps_canonical, load_json
-from .train import RunConfig, sweep, train_run
+from .train import RunConfig, dumps_canonical, sweep, train_run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,8 +28,8 @@ EXIT_RECONCILE = 4
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=None, help="hidden dimension")
-    p.add_argument("--layers", type=int, default=None, help="number of blocks")
-    p.add_argument("--heads", type=int, default=None, help="attention heads")
+    p.add_argument("--layers", dest="n_layers", type=int, default=None, help="number of blocks")
+    p.add_argument("--heads", dest="n_heads", type=int, default=None, help="attention heads")
     p.add_argument("--vocab", type=int, default=None)
     p.add_argument("--seq-len", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -52,7 +51,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-examples", type=int, default=None)
     p.add_argument("--warmup-steps", type=int, default=None)
     p.add_argument("--equiv-every", type=int, default=None)
-    p.add_argument("--report", type=str, default=None, help="write the JSON report here")
+    p.add_argument("--report", dest="report_path", type=str, default=None,
+                   help="write the JSON report here")
     _add_model_flags(p)
 
 
@@ -66,39 +66,27 @@ _RUN_DEFAULTS = {
     **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING},
 }
 
-_MODEL_FLAG_MAP = {
-    "d": "d", "layers": "n_layers", "heads": "n_heads", "vocab": "vocab",
-    "seq_len": "seq_len", "batch_size": "batch_size", "d_ff": "d_ff",
-}
-_RUN_FLAG_MAP = {
-    "task": "task", "mode": "mode", "rank": "rank", "alpha": "alpha",
-    "lr": "lr", "optimizer": "optimizer", "weight_decay": "weight_decay",
-    "steps": "steps", "seed": "seed", "n_examples": "n_examples",
-    "warmup_steps": "warmup_steps", "equiv_every": "equiv_every",
-    "report": "report_path",
-}
-
-
-def _override(cfg: dict, args: argparse.Namespace, flag_map: dict) -> dict:
-    """cfg with every flag of flag_map that was given on the command line."""
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
+def _override(cfg: dict, args: argparse.Namespace, cls) -> dict:
+    """cfg with every field of dataclass cls whose flag (dest = field name) was given."""
+    for f in fields(cls):
+        val = getattr(args, f.name, None)
         if val is not None:
-            cfg[key] = val
+            cfg[f.name] = val
     return cfg
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = json.loads(json.dumps(_RUN_DEFAULTS))  # deep copy
     if args.config:
-        file_cfg = load_json(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("model", {}), dict):
             raise ParameterError("config file must hold a JSON object; its 'model' too")
         model_part = file_cfg.pop("model", {})
         cfg["model"].update(model_part)
         cfg.update(file_cfg)
-    _override(cfg["model"], args, _MODEL_FLAG_MAP)
-    _override(cfg, args, _RUN_FLAG_MAP)
+    _override(cfg["model"], args, ModelConfig)
+    _override(cfg, args, RunConfig)
     return RunConfig.from_dict(cfg)
 
 
@@ -128,7 +116,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_memreport(args: argparse.Namespace) -> int:
-    config = ModelConfig(**_override(dict(_RUN_DEFAULTS["model"]), args, _MODEL_FLAG_MAP))
+    config = ModelConfig(**_override(dict(_RUN_DEFAULTS["model"]), args, ModelConfig))
     mode = Mode(args.mode)
     mods = memory.Modifiers(
         weight_bits=args.weight_bits,

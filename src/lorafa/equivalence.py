@@ -34,7 +34,6 @@ RANK_FROM_COEFF_RESIDUAL = 1e-12
 
 @dataclass
 class SubspaceReport:
-    q: np.ndarray             # orthonormal basis of col(A), d_in x r
     residual: float           # ||dW - Q Q^T dW||_F / max(||dW||_F, tiny)
     numerical_rank: int
 
@@ -119,7 +118,6 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
         residual = float(np.linalg.norm(off) / max(norm, SUBSPACE_TINY))
     in_subspace = residual < RANK_FROM_COEFF_RESIDUAL
     return SubspaceReport(
-        q=q,
         residual=residual,
         numerical_rank=ops.numerical_rank(coeff if in_subspace else delta_w),
     )

@@ -29,7 +29,7 @@ softmax) is measured by the meter but excluded from analytic comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .adapters import Mode, RetainedActivations
@@ -74,16 +74,7 @@ class MemoryBreakdown:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "accounting_bytes_per_element": self.accounting_bytes_per_element,
-            "weight_bytes": self.weight_bytes,
-            "trainable_state_bytes": self.trainable_state_bytes,
-            "activation_bytes_linear": self.activation_bytes_linear,
-            "activation_bytes_other": self.activation_bytes_other,
-            "recompute_flops_flag": self.recompute_flops_flag,
-            "total_bytes": self.total_bytes,
-        }
+        return {**asdict(self), "total_bytes": self.total_bytes}
 
 
 def weight_param_count(config: ModelConfig) -> int:

@@ -142,7 +142,6 @@ def build_model(
     rank: int = 1,
     alpha: Optional[float] = None,
     rng: Optional[RngState] = None,
-    a_std: float = 1.0,
 ) -> TransformerModel:
     """Deterministic model construction.
 
@@ -167,9 +166,7 @@ def build_model(
         layers = {}
         for name, d_in, d_out, _shared in block_layer_specs(config):
             w = randn((d_in, d_out), rng_w, std=1.0 / np.sqrt(d_in))
-            layers[name] = adapters.init_adapter(
-                d_in, d_out, rank, alpha, mode, rng_a, a_std=a_std, w=w
-            )
+            layers[name] = adapters.init_adapter(d_in, d_out, rank, alpha, mode, rng_a, w=w)
         blocks.append(
             Block(
                 ln1_gamma=np.ones(d),
@@ -390,6 +387,8 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     _store(grads, f"{pre}.attn_v", g_v)
     dh1_q += dh1_k
     dh1_q += dh1_v
+    # Free the attention gradients before ln1's vjp, where a step's memory peaks.
+    del dctx, dctx_h, dprobs, dvh, dscores, dqh, dkh, dq, dk, dv, dh1_k, dh1_v
     dx_in, dg1, db1 = ops.layer_norm_vjp(cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q)
     dx_in += dx_mid
     if dense:

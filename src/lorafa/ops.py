@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NumericsError, ParameterError
+from .errors import DimensionError, NumericsError
 
 # GeLU uses the tanh approximation throughout so forward and backward share
 # one canonical formula.
@@ -40,6 +40,8 @@ BLOCK = 16_384
 
 # Relative threshold on pivoted-QR diagonals when counting numerical rank.
 RANK_REL_TOL = 1e-8
+
+LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 
 
 def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
@@ -187,7 +189,7 @@ def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return ensure_finite(t, "softmax_rows vjp")
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize rows (last dim) to mean 0 / variance 1, then affine.
 
     gamma and beta are per-feature vectors of x's last extent. Returns
@@ -199,13 +201,11 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
         raise DimensionError(
             f"layer_norm gamma {gamma.shape} and beta {beta.shape} must be {x.shape[-1:]}"
         )
-    if not eps > 0:
-        raise ParameterError("layer_norm eps must be positive")
     mean = np.mean(x, axis=-1, keepdims=True)
     x_hat = np.subtract(x, mean)
     sq = np.multiply(x_hat, x_hat)
     var = np.mean(sq, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat *= inv_std
     # y = gamma * x_hat + beta lands in sq's buffer unless a dtype promotes.
     out = sq if gamma.dtype == beta.dtype == sq.dtype else None
@@ -322,8 +322,8 @@ def qr_pivoted(m: np.ndarray):
     return ensure_finite(q, "qr_pivoted"), ensure_finite(rr, "qr_pivoted"), perm
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count pivoted-QR diagonal entries above rel_tol * ||m||_F (rr only, no q)."""
+def numerical_rank(m: np.ndarray) -> int:
+    """Count pivoted-QR diagonal entries above RANK_REL_TOL * ||m||_F (rr only, no q)."""
     if m.ndim != 2:
         raise DimensionError("numerical_rank expects a matrix")
     scale_f = np.linalg.norm(m)
@@ -331,4 +331,4 @@ def numerical_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
         return 0
     work, _, _ = _pivoted_householder(m)
     diag = np.abs(ensure_finite(work, "numerical_rank").diagonal())
-    return int(np.sum(diag > rel_tol * scale_f))
+    return int(np.sum(diag > RANK_REL_TOL * scale_f))

@@ -50,9 +50,6 @@ class AdamWState:
     v: Params = field(default_factory=dict)
     step: int = 0
 
-    def element_count(self) -> int:
-        return sum(x.size for x in self.m.values()) + sum(x.size for x in self.v.values())
-
 
 def _check_match(params: Params, grads: Params) -> None:
     if set(params) != set(grads):

@@ -28,9 +28,6 @@ class RngState:
     seed: int
     position: int = 0
 
-    def clone(self) -> "RngState":
-        return RngState(self.seed, self.position)
-
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""

@@ -14,7 +14,6 @@ deterministic under the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,10 +32,8 @@ class Dataset:
     kind: str
     vocab: int
     seq_len: int
-    tokens: np.ndarray            # (n, seq_len) int64 model inputs
-    targets: np.ndarray           # (n, seq_len) int64, IGNORE_TARGET off the loss
-    inputs: Optional[np.ndarray]  # (n, k) raw pairs for copy/reverse, else None
-    pair_targets: Optional[np.ndarray]
+    tokens: np.ndarray   # (n, seq_len) int64 model inputs
+    targets: np.ndarray  # (n, seq_len) int64, IGNORE_TARGET off the loss
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -66,16 +63,16 @@ def gen_task(kind: str, vocab: int, seq_len: int, n_examples: int, seed: int) ->
 def _gen_pair_task(kind: str, vocab: int, seq_len: int, n: int, rng: RngState) -> Dataset:
     k = (seq_len - 2) // 2
     inputs = randint(rng, NUM_RESERVED, vocab, (n, k))
-    pair_targets = inputs.copy() if kind == "copy" else inputs[:, ::-1].copy()
+    answers = inputs if kind == "copy" else inputs[:, ::-1]
     tokens = np.full((n, seq_len), PAD, dtype=np.int64)
     targets = np.full((n, seq_len), IGNORE_TARGET, dtype=np.int64)
     tokens[:, 0] = BOS
     tokens[:, 1 : 1 + k] = inputs
     tokens[:, 1 + k] = SEP
-    tokens[:, 2 + k : 2 + 2 * k] = pair_targets
+    tokens[:, 2 + k : 2 + 2 * k] = answers
     # position j predicts token j+1; supervise only the answer tokens
-    targets[:, 1 + k : 1 + 2 * k] = pair_targets
-    return Dataset(kind, vocab, seq_len, tokens, targets, inputs, pair_targets)
+    targets[:, 1 + k : 1 + 2 * k] = answers
+    return Dataset(kind, vocab, seq_len, tokens, targets)
 
 
 def _gen_char_lm(vocab: int, seq_len: int, n: int, rng: RngState) -> Dataset:
@@ -93,4 +90,4 @@ def _gen_char_lm(vocab: int, seq_len: int, n: int, rng: RngState) -> Dataset:
         tokens[:, j] = state
     targets = np.full((n, seq_len), IGNORE_TARGET, dtype=np.int64)
     targets[:, :-1] = tokens[:, 1:]
-    return Dataset("char-lm", vocab, seq_len, tokens, targets, None, None)
+    return Dataset("char-lm", vocab, seq_len, tokens, targets)

@@ -1,7 +1,9 @@
-"""Training runs, sweeps, and their serialized reports."""
+"""Training runs, sweeps, and their reports in canonical JSON: sorted keys and
+compact separators, so a parse and re-write gives the same bytes."""
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -24,8 +26,13 @@ from .model import (
     trainable_params,
 )
 from .rng import RngState, derive
-from .serialize import SCHEMA_VERSION, dumps_canonical
 from .tasks import Dataset, gen_task
+
+SCHEMA_VERSION = 1
+
+
+def dumps_canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -56,6 +63,8 @@ class RunConfig:
             raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
         if self.optimizer not in ("adamw", "sgd"):
             raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
+        if self.rank < 1:
+            raise ParameterError(f"rank {self.rank} is below 1")
         if self.steps < 0:
             raise ParameterError("steps must be >= 0")
         if not self.lr > 0:
@@ -205,11 +214,9 @@ def train_run(cfg: RunConfig) -> RunReport:
         tokens, targets = dataset.batch(0, mc.batch_size)
         measured_dict, reconciliation = _meter(cfg, forward_loss(model, tokens, targets)[1])
 
-    final_loss = None
-    if status == "ok":
-        final_loss = _eval_loss(model, dataset, mc.batch_size)
+    final_loss = _eval_loss(model, dataset, mc.batch_size) if status == "ok" else None
 
-    report = RunReport(
+    return RunReport(
         schema_version=SCHEMA_VERSION,
         config=cfg.to_dict(),
         status=status,
@@ -224,7 +231,6 @@ def train_run(cfg: RunConfig) -> RunReport:
         equivalence=equivalence,
         wall_clock_s=time.perf_counter() - t0,
     )
-    return report
 
 
 def cell_seed(base_seed: int, rank: int, lr: float) -> int:
@@ -253,21 +259,27 @@ class SweepGrid:
 
 
 def sweep(base: RunConfig, ranks: list[int], lrs: list[float]) -> SweepGrid:
-    """Run every (rank, lr) cell; per-cell failures are recorded, not raised."""
+    """Run every (rank, lr) cell; per-cell failures are recorded, not raised.
+
+    Every cell's RunConfig is built first: a bad axis value raises before any trains.
+    """
     if not ranks or not lrs:
         raise ParameterError("sweep axes must be non-empty")
-    grid = SweepGrid(schema_version=SCHEMA_VERSION, ranks=list(ranks), lrs=list(lrs))
+    configs = []
     for rank in ranks:
         for lr in lrs:
             cfg_dict = base.to_dict()
             cfg_dict.update(rank=rank, lr=lr, seed=cell_seed(base.seed, rank, lr))
-            cell = {"rank": rank, "lr": lr, "seed": cfg_dict["seed"]}
-            try:
-                report = train_run(RunConfig.from_dict(cfg_dict))
-                cell["final_loss"] = report.final_loss
-                cell["status"] = report.status
-            except LorafaError as exc:
-                cell["final_loss"] = None
-                cell["status"] = f"error:{type(exc).__name__}"
-            grid.cells.append(cell)
+            configs.append(RunConfig.from_dict(cfg_dict))
+    grid = SweepGrid(schema_version=SCHEMA_VERSION, ranks=list(ranks), lrs=list(lrs))
+    for cfg in configs:
+        cell = {"rank": cfg.rank, "lr": cfg.lr, "seed": cfg.seed}
+        try:
+            report = train_run(cfg)
+            cell["final_loss"] = report.final_loss
+            cell["status"] = report.status
+        except LorafaError as exc:
+            cell["final_loss"] = None
+            cell["status"] = f"error:{type(exc).__name__}"
+        grid.cells.append(cell)
     return grid

@@ -1,8 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from lorafa.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from lorafa.adapters import Mode
+from lorafa.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, _run_config_from_args, build_parser, main
+from lorafa.model import ModelConfig
+from lorafa.train import RunConfig
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +119,49 @@ def test_sweep_outputs(tmp_path, capsys):
     assert csv[0] == "rank,lr,final_loss,status"
     assert len(csv) == 5
     assert json.loads((tmp_path / "grid.json").read_text()) == grid
+
+
+@pytest.mark.parametrize("ranks,lrs,named", [
+    ("1", "nan", "lr must be finite"),
+    ("1", "-1", "lr must be positive"),
+    ("0", "1e-2", "rank 0 is below 1"),
+])
+def test_sweep_bad_axis_value_is_config_error(capsys, ranks, lrs, named):
+    code, out, err = run_cli(
+        capsys, "sweep", "--steps", "1", "--d", "16", "--layers", "1", "--heads", "2",
+        "--vocab", "12", "--seq-len", "8", "--batch-size", "4", "--n-examples", "8",
+        "--ranks", ranks, "--lrs", lrs,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert named in err
+
+
+def test_each_train_flag_sets_the_config_field_of_its_name(tmp_path):
+    report = str(tmp_path / "run.json")
+    model_flags = {
+        "--d": ("d", 24), "--layers": ("n_layers", 3), "--heads": ("n_heads", 6),
+        "--vocab": ("vocab", 17), "--seq-len": ("seq_len", 9),
+        "--batch-size": ("batch_size", 5), "--d-ff": ("d_ff", 40),
+    }
+    run_flags = {
+        "--task": ("task", "reverse"), "--mode": ("mode", Mode.LORA), "--rank": ("rank", 3),
+        "--alpha": ("alpha", 0.75), "--lr": ("lr", 0.125), "--optimizer": ("optimizer", "sgd"),
+        "--weight-decay": ("weight_decay", 0.25), "--steps": ("steps", 7),
+        "--seed": ("seed", 11), "--n-examples": ("n_examples", 13),
+        "--warmup-steps": ("warmup_steps", 2), "--equiv-every": ("equiv_every", 5),
+        "--report": ("report_path", report),
+    }
+    assert {name for name, _ in model_flags.values()} == {f.name for f in fields(ModelConfig)}
+    assert {name for name, _ in run_flags.values()} == {f.name for f in fields(RunConfig)} - {"model"}
+    argv = ["train"]
+    for flag, (_, value) in {**model_flags, **run_flags}.items():
+        argv += [flag, value.value if isinstance(value, Mode) else str(value)]
+    cfg = _run_config_from_args(build_parser().parse_args(argv))
+    for name, value in model_flags.values():
+        assert getattr(cfg.model, name) == value, name
+    for name, value in run_flags.values():
+        assert getattr(cfg, name) == value, name
 
 
 def test_memreport_prints_both_models(capsys):

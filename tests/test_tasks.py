@@ -6,14 +6,22 @@ from lorafa.model import IGNORE_TARGET
 from lorafa.tasks import BOS, NUM_RESERVED, SEP, gen_task
 
 
+def _pair(ds):
+    """(prompt, answer) token blocks of a copy/reverse dataset."""
+    k = (ds.seq_len - 2) // 2
+    return ds.tokens[:, 1 : 1 + k], ds.tokens[:, 2 + k : 2 + 2 * k]
+
+
 def test_copy_pair_contract():
     ds = gen_task("copy", vocab=16, seq_len=8, n_examples=20, seed=0)
-    assert np.array_equal(ds.pair_targets, ds.inputs)
+    prompt, answer = _pair(ds)
+    assert np.array_equal(answer, prompt)
 
 
 def test_reverse_pair_contract():
     ds = gen_task("reverse", vocab=16, seq_len=8, n_examples=20, seed=0)
-    assert np.array_equal(ds.pair_targets, ds.inputs[:, ::-1])
+    prompt, answer = _pair(ds)
+    assert np.array_equal(answer, prompt[:, ::-1])
 
 
 def test_stream_layout():
@@ -21,17 +29,18 @@ def test_stream_layout():
     k = (8 - 2) // 2
     assert np.all(ds.tokens[:, 0] == BOS)
     assert np.all(ds.tokens[:, 1 + k] == SEP)
-    assert np.array_equal(ds.tokens[:, 1 : 1 + k], ds.inputs)
-    assert np.array_equal(ds.tokens[:, 2 + k :], ds.pair_targets)
+    prompt, answer = _pair(ds)
+    assert np.array_equal(ds.tokens[:, 2 + k :], prompt)  # copy: the answer ends the row
     # loss is confined to the answer region
     assert np.all(ds.targets[:, : 1 + k] == IGNORE_TARGET)
-    assert np.array_equal(ds.targets[:, 1 + k : 1 + 2 * k], ds.pair_targets)
+    assert np.array_equal(ds.targets[:, 1 + k : 1 + 2 * k], answer)
 
 
 def test_content_tokens_avoid_reserved():
     ds = gen_task("reverse", vocab=6, seq_len=10, n_examples=50, seed=2)
-    assert ds.inputs.min() >= NUM_RESERVED
-    assert ds.inputs.max() < 6
+    prompt, _ = _pair(ds)
+    assert prompt.min() >= NUM_RESERVED
+    assert prompt.max() < 6
 
 
 def test_same_seed_identical_bytes():
@@ -45,7 +54,6 @@ def test_same_seed_identical_bytes():
 
 def test_char_lm_next_token_targets():
     ds = gen_task("char-lm", vocab=12, seq_len=9, n_examples=8, seed=3)
-    assert ds.inputs is None
     assert np.array_equal(ds.targets[:, :-1], ds.tokens[:, 1:])
     assert np.all(ds.targets[:, -1] == IGNORE_TARGET)
     assert ds.tokens[:, 1:].min() >= NUM_RESERVED

@@ -132,6 +132,8 @@ def test_config_validation():
         small_cfg(optimizer="lion")
     with pytest.raises(ParameterError):
         small_cfg(steps=-1)
+    with pytest.raises(ParameterError, match="rank 0 is below 1"):
+        small_cfg(rank=0)
     with pytest.raises(ParameterError):
         small_cfg(lr=0.0)
     for name in ("equiv_every", "warmup_steps", "weight_decay"):
@@ -212,6 +214,19 @@ def test_sweep_records_failures_and_continues():
 def test_sweep_rejects_empty_axes():
     with pytest.raises(ParameterError):
         sweep(small_cfg(), ranks=[], lrs=[1e-3])
+
+
+@pytest.mark.parametrize("ranks,lrs,named", [
+    ([1], [1e-2, float("nan")], "lr must be finite"),
+    ([1], [1e-2, -1.0], "lr must be positive"),
+    ([1, 0], [1e-2], "rank 0 is below 1"),
+])
+def test_sweep_rejects_bad_axis_values_before_training(monkeypatch, ranks, lrs, named):
+    trained = []
+    monkeypatch.setattr("lorafa.train.train_run", trained.append)
+    with pytest.raises(ParameterError, match=named):
+        sweep(small_cfg(steps=1), ranks=ranks, lrs=lrs)
+    assert trained == []
 
 
 def test_sweep_csv_format():
