@@ -222,12 +222,17 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
+def backward(
+    layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray, input_grad: bool = True
+):
     """Input gradient plus exactly the mode's trainable-parameter gradients.
 
     dx = dy (W + alpha A B)^T, rebuilt from the A and B forward used, so
-    nothing but the mode's activations is retained. Parameter gradients fold
-    the leading dims without averaging (loss normalization owns averaging):
+    nothing but the mode's activations is retained. With input_grad false
+    nothing below the layer trains, dx is dead: neither it nor the
+    transposed merge is built, and None comes back in its place. Parameter
+    gradients fold the leading dims without averaging (loss normalization
+    owns averaging):
       ft:      dW = x^T dy
       lora:    dA = alpha * x^T (dy B^T),  dB = alpha * (x A)^T dy
       lora-fa: dB only, computed from the retained x@A; the full input is
@@ -237,7 +242,7 @@ def backward(layer: AdaptedLinear, kept: RetainedActivations, dy: np.ndarray):
         raise DimensionError(
             f"upstream trailing extent {dy.shape[-1]} != d_out {layer.d_out}"
         )
-    dx = matmul(dy, _merged(layer, transpose=True))
+    dx = matmul(dy, _merged(layer, transpose=True)) if input_grad else None
     dy2 = _fold(dy)
     grads = {
         name: ensure_finite(_GRADIENTS[name](layer, kept, dy2), "adapter backward")

@@ -66,6 +66,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.d_ff is None:
+            require_number("d", self.d, integral=True)  # before d_ff derives from it
             self.d_ff = 4 * self.d
         for name in ("d", "n_layers", "n_heads", "vocab", "seq_len", "batch_size", "d_ff"):
             require_number(name, getattr(self, name), integral=True)
@@ -351,7 +352,10 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
 
 # --- backward -----------------------------------------------------------
 
-def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str):
+def _block_backward(
+    model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str, input_grad: bool
+):
+    """Backward through one block; the block's input gradient only if input_grad."""
     nh = model.config.n_heads
     dh = model.config.d // nh
     dense = model.mode.trains_dense
@@ -362,7 +366,9 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     df1 = ops.gelu_vjp(cache.gelu_in, dupstream)
     dh2, g_f1 = adapters.backward(block.ffn1, cache.ffn1, df1)
     _store(grads, f"{pre}.ffn1", g_f1)
-    dx_mid, dg2, db2 = ops.layer_norm_vjp(cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2)
+    dx_mid, dg2, db2 = ops.layer_norm_vjp(
+        cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2, param_grads=dense
+    )
     dx_mid += dx
     if dense:
         grads[f"{pre}.ln2.gamma"] = dg2
@@ -379,17 +385,21 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dqh = dscores @ cache.kh
     dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
     dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-    dh1_q, g_q = adapters.backward(block.attn_q, cache.attn_q, dq)
-    dh1_k, g_k = adapters.backward(block.attn_k, cache.attn_k, dk)
-    dh1_v, g_v = adapters.backward(block.attn_v, cache.attn_v, dv)
+    dh1_q, g_q = adapters.backward(block.attn_q, cache.attn_q, dq, input_grad)
+    dh1_k, g_k = adapters.backward(block.attn_k, cache.attn_k, dk, input_grad)
+    dh1_v, g_v = adapters.backward(block.attn_v, cache.attn_v, dv, input_grad)
     _store(grads, f"{pre}.attn_q", g_q)
     _store(grads, f"{pre}.attn_k", g_k)
     _store(grads, f"{pre}.attn_v", g_v)
+    if not input_grad:
+        return None
     dh1_q += dh1_k
     dh1_q += dh1_v
     # Free the attention gradients before ln1's vjp, where a step's memory peaks.
     del dctx, dctx_h, dprobs, dvh, dscores, dqh, dkh, dq, dk, dv, dh1_k, dh1_v
-    dx_in, dg1, db1 = ops.layer_norm_vjp(cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q)
+    dx_in, dg1, db1 = ops.layer_norm_vjp(
+        cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q, param_grads=dense
+    )
     dx_in += dx_mid
     if dense:
         grads[f"{pre}.ln1.gamma"] = dg1
@@ -403,9 +413,20 @@ def _store(grads: dict, prefix: str, layer_grads: dict) -> None:
 
 
 def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
-    """Gradients for exactly the mode's trainable set, keyed like trainable_params."""
+    """Gradients for exactly the mode's trainable set, keyed like trainable_params.
+
+    Only live gradients are computed. Block i's input gradient is live when
+    the mode trains dense tensors (embeddings, layer norms) or i > 0, so in
+    lora and lora-fa block 0's query/key/value return only their adapter
+    gradients and its ln1 vjp is skipped; layer-norm dgamma/dbeta exist only
+    where the mode trains dense tensors; in frozen mode, which trains
+    nothing, the result is {} once the tape is validated.
+    """
     if tape.loss_probs is None:
         raise DataError("tape has no loss; run forward_loss first")
+    dense = model.mode.trains_dense
+    if not (model.mode.trains or dense):
+        return {}
     # (probs - onehot) / count on supervised positions, zero elsewhere.
     dlogits = tape.loss_probs.copy()
     safe_targets = np.where(tape.loss_mask, tape.targets, 0)[..., None]
@@ -417,18 +438,21 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     dlogits *= tape.loss_mask[..., None] / tape.loss_count
 
     grads: dict[str, np.ndarray] = {}
-    dense = model.mode.trains_dense
     dh = ops.matmul(dlogits, model.tok_emb)
     if dense:
         d2 = dlogits.reshape(-1, dlogits.shape[-1])
         h2 = tape.head_input.reshape(-1, tape.head_input.shape[-1])
         grads["tok_emb"] = d2.T @ h2
-    dx, dgf, dbf = ops.layer_norm_vjp(tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh)
+    dx, dgf, dbf = ops.layer_norm_vjp(
+        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense
+    )
     if dense:
         grads["ln_f.gamma"] = dgf
         grads["ln_f.beta"] = dbf
     for i in reversed(range(len(model.blocks))):
-        dx = _block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}")
+        dx = _block_backward(
+            model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}", dense or i > 0
+        )
     if dense:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)

@@ -38,7 +38,8 @@ _GELU_A = 0.044715
 # 128 KB, so one block of each operand and scratch row stays in a core's L2.
 BLOCK = 16_384
 
-# Relative threshold on pivoted-QR diagonals when counting numerical rank.
+# Relative threshold on pivoted-QR diagonals or singular values when counting
+# numerical rank.
 RANK_REL_TOL = 1e-8
 
 LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
@@ -219,8 +220,13 @@ def layer_norm_vjp(
     inv_std: np.ndarray,
     gamma: np.ndarray,
     upstream: np.ndarray,
+    param_grads: bool = True,
 ):
-    """Gradients (dx, dgamma, dbeta) for layer_norm, from its x_hat and inv_std."""
+    """Gradients (dx, dgamma, dbeta) for layer_norm, from its x_hat and inv_std.
+
+    With param_grads false, gamma and beta are frozen: dgamma and dbeta are
+    not computed and come back as None.
+    """
     if (
         upstream.shape != x_hat.shape
         or gamma.shape != x_hat.shape[-1:]
@@ -241,11 +247,13 @@ def layer_norm_vjp(
     np.multiply(x_hat, mean_dxhat_xhat, out=dx)
     dxhat -= mean_dxhat
     np.subtract(dxhat, dx, out=dx)
-    dx = np.multiply(inv_std, dx, out=dx if same_dtype else None)
+    dx = ensure_finite(np.multiply(inv_std, dx, out=dx if same_dtype else None), "layer_norm vjp")
+    if not param_grads:
+        return dx, None, None
     axes = tuple(range(x_hat.ndim - 1))
     dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat if same_dtype else None), axis=axes)
     dbeta = np.sum(upstream, axis=axes)
-    return ensure_finite(dx, "layer_norm vjp"), dgamma, dbeta
+    return dx, dgamma, dbeta
 
 
 def _apply_reflector(v: np.ndarray, block: np.ndarray) -> None:
@@ -323,12 +331,27 @@ def qr_pivoted(m: np.ndarray):
 
 
 def numerical_rank(m: np.ndarray) -> int:
-    """Count pivoted-QR diagonal entries above RANK_REL_TOL * ||m||_F (rr only, no q)."""
+    """Count singular values above RANK_REL_TOL * ||m||_F (LAPACK, values only)."""
     if m.ndim != 2:
         raise DimensionError("numerical_rank expects a matrix")
+    scale_f = np.linalg.norm(ensure_finite(m, "numerical_rank"))
+    if scale_f == 0.0:
+        return 0
+    return int(np.sum(np.linalg.svd(m, compute_uv=False) > RANK_REL_TOL * scale_f))
+
+
+def pivoted_rank(m: np.ndarray) -> int:
+    """Count pivoted-QR diagonal entries above RANK_REL_TOL * ||m||_F (rr only, no q).
+
+    numerical_rank's threshold on the diagonals that approximate the
+    singular values; the rule subspace_check keeps for a delta_w that
+    leaves col(A).
+    """
+    if m.ndim != 2:
+        raise DimensionError("pivoted_rank expects a matrix")
     scale_f = np.linalg.norm(m)
     if scale_f == 0.0:
         return 0
     work, _, _ = _pivoted_householder(m)
-    diag = np.abs(ensure_finite(work, "numerical_rank").diagonal())
+    diag = np.abs(ensure_finite(work, "pivoted_rank").diagonal())
     return int(np.sum(diag > RANK_REL_TOL * scale_f))

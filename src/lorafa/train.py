@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .model import (
     trainable_params,
 )
 from .rng import RngState, derive
-from .tasks import Dataset, gen_task
+from .tasks import TASK_KINDS, Dataset, gen_task
 
 SCHEMA_VERSION = 1
 
@@ -59,12 +59,21 @@ class RunConfig:
             require_number(name, getattr(self, name))
         if self.alpha is not None:
             require_number("alpha", self.alpha)
+            if not self.alpha > 0:
+                raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.report_path is not None and not isinstance(self.report_path, str):
             raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
         if self.optimizer not in ("adamw", "sgd"):
             raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
+        if self.task not in TASK_KINDS:
+            raise ParameterError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
         if self.rank < 1:
             raise ParameterError(f"rank {self.rank} is below 1")
+        # The bound init_adapter enforces on every adapted linear, met here so
+        # that a sweep cell cannot fail on it after training began.
+        rank_cap = min(self.model.d, self.model.d_ff)
+        if self.mode.has_adapter and self.rank > rank_cap:
+            raise ParameterError(f"rank {self.rank} exceeds min(d, d_ff) = {rank_cap}")
         if self.steps < 0:
             raise ParameterError("steps must be >= 0")
         if not self.lr > 0:
@@ -80,18 +89,33 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        """Validated config from a parsed JSON object; only ParameterError escapes."""
+        if not isinstance(d, dict) or not isinstance(d.get("model"), dict):
+            raise ParameterError("a run config must be a JSON object with a 'model' object")
         d = dict(d)
-        _reject_unknown_keys(d, RunConfig)
-        _reject_unknown_keys(d["model"], ModelConfig)
+        _check_keys(d, RunConfig)
+        _check_keys(d["model"], ModelConfig)
         d["model"] = ModelConfig(**d["model"])
-        d["mode"] = Mode(d["mode"])
+        try:
+            d["mode"] = Mode(d["mode"])
+        except ValueError:
+            modes = [m.value for m in Mode]
+            raise ParameterError(f"mode must be one of {modes}, got {d['mode']!r}") from None
         return RunConfig(**d)
 
 
-def _reject_unknown_keys(d: dict, cls) -> None:
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def _check_keys(d: dict, cls) -> None:
+    """ParameterError for a key cls has no field for, or a required field missing."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(str(k) for k in set(d) - names)
     if unknown:
         raise ParameterError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = sorted(
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d
+    )
+    if missing:
+        raise ParameterError(f"missing {cls.__name__} keys: {', '.join(missing)}")
 
 
 @dataclass

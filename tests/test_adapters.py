@@ -199,6 +199,21 @@ def test_backward_dx_matches_the_unmerged_branch(mode):
     assert np.max(np.abs(dx - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_backward_without_input_grad_builds_no_dx(monkeypatch, mode):
+    layer = make_layer(mode, d_in=12, d_out=9, rank=4, seed=7, random_b=True)
+    x = randn((2, 5, 12), RngState(43))
+    dy = randn((2, 5, 9), RngState(44))
+    _, kept = adapters.forward(layer, x)
+    _, want = adapters.backward(layer, kept, dy)
+    monkeypatch.setattr(adapters, "matmul", None)  # the dx product must not run
+    monkeypatch.setattr(adapters, "_merged", None)  # nor the transposed merge
+    dx, got = adapters.backward(layer, kept, dy, input_grad=False)
+    assert dx is None
+    assert list(got) == list(want) == list(mode.trains)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
 def test_backward_rejects_mismatched_upstream():
     layer = make_layer(Mode.FT)
     x = randn((2, 6), RngState(14))

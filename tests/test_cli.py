@@ -87,6 +87,7 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys, file_cfg, named
     ({"rank": 2.5}, "rank must be an integer"),
     ({"alpha": True}, "alpha must be a number"),
     ({"model": {"d": "64"}}, "d must be an integer"),
+    ({"model": {"d": None}}, "d must be an integer"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, file_cfg, named):
     path = tmp_path / "cfg.json"
@@ -125,6 +126,7 @@ def test_sweep_outputs(tmp_path, capsys):
     ("1", "nan", "lr must be finite"),
     ("1", "-1", "lr must be positive"),
     ("0", "1e-2", "rank 0 is below 1"),
+    ("17", "1e-2", "rank 17 exceeds min(d, d_ff) = 16"),
 ])
 def test_sweep_bad_axis_value_is_config_error(capsys, ranks, lrs, named):
     code, out, err = run_cli(
@@ -135,6 +137,18 @@ def test_sweep_bad_axis_value_is_config_error(capsys, ranks, lrs, named):
     assert code == EXIT_CONFIG
     assert out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_rank_above_d_ff_is_config_error(capsys, command):
+    axes = ["--ranks", "8", "--lrs", "0.01"] if command == "sweep" else ["--rank", "8"]
+    code, out, err = run_cli(
+        capsys, command, "--d", "16", "--d-ff", "4", "--mode", "lora-fa", "--steps", "1",
+        "--heads", "2", *axes,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "rank 8 exceeds min(d, d_ff) = 4" in err
 
 
 def test_each_train_flag_sets_the_config_field_of_its_name(tmp_path):

@@ -126,15 +126,14 @@ def test_subspace_residual_outside_column_space():
 
 
 def _factored_shapes(monkeypatch) -> list:
-    """Record the shape of every matrix subspace_check hands to numerical_rank."""
+    """Record (rule, shape) of every matrix subspace_check takes a rank of."""
     shapes = []
-    real = ops.numerical_rank
+    for name in ("numerical_rank", "pivoted_rank"):
+        def spy(m, _real=getattr(ops, name), _name=name):
+            shapes.append((_name, m.shape))
+            return _real(m)
 
-    def spy(m, *args, **kw):
-        shapes.append(m.shape)
-        return real(m, *args, **kw)
-
-    monkeypatch.setattr(ops, "numerical_rank", spy)
+        monkeypatch.setattr(ops, name, spy)
     return shapes
 
 
@@ -149,7 +148,7 @@ def test_subspace_rank_from_coefficients_matches_full(monkeypatch, d_in, d_out, 
     delta = layer.alpha * (layer.a @ db)
     shapes = _factored_shapes(monkeypatch)
     rep = subspace_check(layer.a, delta)
-    assert shapes == [(8, d_out)]  # rank taken from Q^T dW
+    assert shapes == [("numerical_rank", (8, d_out))]  # rank taken from Q^T dW
     assert rep.numerical_rank == numerical_rank(delta) == live_rows
 
 
@@ -165,8 +164,38 @@ def test_subspace_rank_path_follows_residual_gate(monkeypatch, factor, full_path
     shapes = _factored_shapes(monkeypatch)
     rep = subspace_check(a, delta)
     assert rep.residual == pytest.approx(target, rel=1e-2)
-    assert shapes == [delta.shape if full_path else (8, 32)]
+    assert shapes == [("pivoted_rank", delta.shape) if full_path else ("numerical_rank", (8, 32))]
     assert rep.numerical_rank == 8  # the off part sits far below the rank threshold
+
+
+def coefficients_with_last_singular_value(factor, r=8, d_out=64, seed=22):
+    """An r x d_out matrix with singular values 1 (r - 1 times) and one at
+    factor times the rank threshold RANK_REL_TOL * ||m||_F."""
+    rng = RngState(seed)
+    u = np.linalg.qr(randn((r, r), rng))[0]
+    v = np.linalg.qr(randn((d_out, r), rng))[0]
+    k = factor * ops.RANK_REL_TOL
+    s = np.ones(r)
+    s[-1] = k * np.sqrt(r - 1) / np.sqrt(1.0 - k * k)  # s[-1] = k * ||s||
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("factor,rank", [(0.5, 7), (2.0, 8)])
+def test_numerical_rank_threshold(factor, rank):
+    assert numerical_rank(coefficients_with_last_singular_value(factor)) == rank
+
+
+@pytest.mark.parametrize("factor,rank", [(0.5, 7), (2.0, 8)])
+def test_subspace_rank_counts_coefficient_singular_values(monkeypatch, factor, rank):
+    # delta_w = A C with orthonormal A: Q^T delta_w = (Q^T A) C has C's
+    # singular values, the last at factor times the rank threshold
+    a = np.linalg.qr(randn((64, 8), RngState(14)))[0]
+    delta = a @ coefficients_with_last_singular_value(factor)
+    shapes = _factored_shapes(monkeypatch)
+    rep = subspace_check(a, delta)
+    assert rep.residual < RANK_FROM_COEFF_RESIDUAL
+    assert shapes == [("numerical_rank", (8, 64))]
+    assert rep.numerical_rank == rank
 
 
 @pytest.mark.parametrize("a_shape,dw_shape", [

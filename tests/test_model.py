@@ -3,12 +3,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lorafa import adapters, ops
 from lorafa.adapters import Mode, RetainedActivations
 from lorafa.errors import DataError, DimensionError, ParameterError
 from lorafa.gradcheck import check_tiny_model
 from lorafa.model import (
     IGNORE_TARGET,
     ModelConfig,
+    Tape,
+    _merge_heads,
+    _split_heads,
     backward,
     build_model,
     count_trainable,
@@ -140,6 +144,126 @@ def test_gradient_set_cardinality_ft():
 @pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
 def test_full_model_finite_differences(mode):
     assert check_tiny_model(mode, seed=2) < 1e-4
+
+
+# --- live work -----------------------------------------------------------------
+# The reference backward runs the full chain the engine ran before it skipped
+# dead work: every block's input gradient (block 0's query/key/value input
+# gradients and ln1 vjp included) and every layer norm's dgamma/dbeta, then
+# keeps the trainable set. backward must match it bit for bit.
+
+def _ref_block_backward(model, block, cache, dx, grads, pre):
+    nh = model.config.n_heads
+    dh = model.config.d // nh
+
+    def linear(name, upstream):
+        dinput, layer_grads = adapters.backward(getattr(block, name), getattr(cache, name), upstream)
+        grads.update({f"{pre}.{name}.{k}": g for k, g in layer_grads.items()})
+        return dinput
+
+    df1 = ops.gelu_vjp(cache.gelu_in, linear("ffn2", dx))
+    dh2 = linear("ffn1", df1)
+    dx_mid, grads[f"{pre}.ln2.gamma"], grads[f"{pre}.ln2.beta"] = ops.layer_norm_vjp(
+        cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2)
+    dx_mid += dx
+    dctx_h = _split_heads(linear("attn_o", dx_mid), nh)
+    dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
+    dvh = np.swapaxes(cache.probs, -1, -2) @ dctx_h
+    dscores = ops.softmax_rows_vjp(cache.probs, dprobs)
+    dscores /= np.sqrt(dh)
+    dqh = dscores @ cache.kh
+    dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
+    dh1 = (linear("attn_q", _merge_heads(dqh)) + linear("attn_k", _merge_heads(dkh))
+           + linear("attn_v", _merge_heads(dvh)))
+    dx_in, grads[f"{pre}.ln1.gamma"], grads[f"{pre}.ln1.beta"] = ops.layer_norm_vjp(
+        cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1)
+    return dx_in + dx_mid
+
+
+def _ref_backward(model, tape):
+    dlogits = tape.loss_probs.copy()
+    safe = np.where(tape.loss_mask, tape.targets, 0)[..., None]
+    np.put_along_axis(dlogits, safe, np.take_along_axis(dlogits, safe, axis=-1) - 1.0, axis=-1)
+    dlogits *= tape.loss_mask[..., None] / tape.loss_count
+    grads = {}
+    d2 = dlogits.reshape(-1, dlogits.shape[-1])
+    if tape.head_input is not None:
+        grads["tok_emb"] = d2.T @ tape.head_input.reshape(-1, tape.head_input.shape[-1])
+    dx, grads["ln_f.gamma"], grads["ln_f.beta"] = ops.layer_norm_vjp(
+        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, ops.matmul(dlogits, model.tok_emb))
+    for i in reversed(range(len(model.blocks))):
+        dx = _ref_block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}")
+    if "tok_emb" in grads:
+        dtok = np.zeros_like(model.tok_emb)
+        np.add.at(dtok, tape.tokens, dx)
+        grads["tok_emb"] += dtok
+        dpos = np.zeros_like(model.pos_emb)
+        dpos[: tape.s] = dx.sum(axis=0)
+        grads["pos_emb"] = dpos
+    return {k: grads[k] for k in trainable_params(model)}
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_backward_matches_the_full_chain_bit_for_bit(mode, seed):
+    m = build_model(CFG, mode, rank=2, rng=RngState(20 + seed))
+    for p in trainable_params(m).values():
+        p += 0.1 * randn(p.shape, RngState(p.size + seed))
+    _, tape = forward_loss(m, *data(30 + seed))
+    got = backward(m, tape)
+    want = _ref_backward(m, tape)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_backward_computes_only_live_gradients(monkeypatch, mode):
+    linears, norms, matmuls = [], [], []
+    real_backward, real_vjp, real_matmul = adapters.backward, ops.layer_norm_vjp, ops.matmul
+
+    def spy_backward(layer, kept, dy, *args):
+        dx, grads = real_backward(layer, kept, dy, *args)
+        linears.append((layer, dx))
+        return dx, grads
+
+    def spy_vjp(*args, **kwargs):
+        out = real_vjp(*args, **kwargs)
+        norms.append(out)
+        return out
+
+    def spy_matmul(a, b):
+        matmuls.append(a.shape)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(adapters, "backward", spy_backward)
+    monkeypatch.setattr(ops, "layer_norm_vjp", spy_vjp)
+    monkeypatch.setattr(ops, "matmul", spy_matmul)
+    monkeypatch.setattr(adapters, "matmul", spy_matmul)
+    m = build_model(CFG, mode, rank=2, rng=RngState(9))
+    _, tape = forward_loss(m, *data(10))
+    matmuls.clear()
+    backward(m, tape)
+    block0 = m.blocks[0]
+    dead = [] if mode.trains_dense else [block0.attn_q, block0.attn_k, block0.attn_v]
+    assert len(linears) == 6 * CFG.n_layers
+    assert [layer for layer, dx in linears if dx is None] == dead
+    # one head product plus one dx per linear whose input gradient is live
+    assert len(matmuls) == 1 + 6 * CFG.n_layers - len(dead)
+    # ln_f and two per block, less block 0's ln1 where nothing below it trains
+    assert len(norms) == 1 + 2 * CFG.n_layers - (0 if mode.trains_dense else 1)
+    for dx, dgamma, dbeta in norms:
+        assert dx is not None
+        assert (dgamma is not None, dbeta is not None) == (mode.trains_dense,) * 2
+
+
+def test_frozen_backward_returns_no_gradients(monkeypatch):
+    m = build_model(CFG, Mode.FROZEN, rng=RngState(11))
+    _, tape = forward_loss(m, *data(12))
+    monkeypatch.setattr(adapters, "backward", None)  # frozen backward runs no linear
+    assert backward(m, tape) == {}
+    with pytest.raises(DataError, match="no loss"):
+        backward(m, Tape(b=2, s=CFG.seq_len))
 
 
 # --- frozen-parameter purity ----------------------------------------------------

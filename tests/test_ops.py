@@ -182,8 +182,9 @@ def test_numerical_rank_rejects_non_matrix(shape, fill):
 
 # --- qr against plain Householder loops ---------------------------------------
 # Reference loops, unpivoted and column-pivoted, written with np.linalg.norm
-# and np.outer. qr_pivoted and numerical_rank do the same arithmetic with
-# fewer numpy calls and must match bit for bit; ops.qr (LAPACK) within QR_TOL.
+# and np.outer. qr_pivoted and pivoted_rank do the same arithmetic with
+# fewer numpy calls and must match bit for bit; ops.qr (LAPACK) within
+# QR_TOL; numerical_rank (singular values) must give the reference's rank.
 
 def _ref_reflect(v, block):
     block -= 2.0 * np.outer(v, v @ block)
@@ -235,7 +236,7 @@ def _ref_qr_pivoted(m):
     return _ref_q(vs, d), np.triu(R[: len(vs), :]), perm
 
 
-def _ref_numerical_rank(m):
+def _ref_pivoted_rank(m):
     scale_f = np.linalg.norm(m)
     if scale_f == 0.0:
         return 0
@@ -282,13 +283,29 @@ def test_qr_pivoted_bit_identical_to_reference(name):
 @pytest.mark.parametrize("name", sorted(PIVOT_CASES))
 def test_numerical_rank_matches_reference(name):
     m = PIVOT_CASES[name]
-    assert ops.numerical_rank(m) == _ref_numerical_rank(m)
+    assert ops.numerical_rank(m) == _ref_pivoted_rank(m)
 
 
 def test_numerical_rank_of_cases():
     assert [ops.numerical_rank(PIVOT_CASES[k]) for k in (
         "rank3_12x9", "zero_column", "tied_columns", "all_zero"
     )] == [3, 8, 8, 0]
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_pivoted_rank_matches_reference(name):
+    m = PIVOT_CASES[name]
+    assert ops.pivoted_rank(m) == _ref_pivoted_rank(m)
+
+
+def test_pivoted_rank_rejects_bad_input():
+    m = randn((8, 64), RngState(3))
+    m[5, 0] = np.nan
+    with pytest.raises(NumericsError):
+        ops.pivoted_rank(m)
+    for shape in ((5,), (2, 3, 4)):
+        with pytest.raises(DimensionError):
+            ops.pivoted_rank(np.zeros(shape))
 
 
 # LAPACK and the old loop apply the same reflectors in a different order of
@@ -515,6 +532,19 @@ def test_softmax_kernel_keeps_masked_entries_exact():
     scores = randn((8, 4, s, s), RngState(13))
     scores[..., np.triu(np.ones((s, s), dtype=bool), 1)] = -np.inf
     assert_same(call_unchanged(ops.softmax_rows, scores), ref_softmax_rows(scores))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1,), (8, 64, 512)])
+def test_layer_norm_vjp_without_param_grads(shape, dtype):
+    # frozen gamma and beta: the same dx, and no dgamma or dbeta at all
+    x, upstream, gamma, beta = kernel_inputs(shape, dtype)
+    _, x_hat, inv_std = ops.layer_norm(x, gamma, beta)
+    dx, dgamma, dbeta = call_unchanged(
+        lambda *args: ops.layer_norm_vjp(*args, param_grads=False), x_hat, inv_std, gamma, upstream
+    )
+    assert dgamma is None and dbeta is None
+    assert_same(dx, ops.layer_norm_vjp(x_hat, inv_std, gamma, upstream)[0])
 
 
 def test_layer_norm_rejects_mismatched_shapes():

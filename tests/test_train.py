@@ -176,6 +176,50 @@ def test_config_rejects_a_report_path_that_is_not_a_string(value):
         small_cfg(report_path=value)
 
 
+@pytest.mark.parametrize("mode", [Mode.LORA, Mode.LORA_FA])
+@pytest.mark.parametrize("d_ff,rank", [(None, 17), (4, 5)])
+def test_config_rejects_a_rank_above_min_d_and_d_ff(mode, d_ff, rank):
+    # the bound init_adapter would otherwise meet inside build_model
+    model = ModelConfig(d=16, n_layers=1, n_heads=2, vocab=12, seq_len=8, d_ff=d_ff)
+    cap = min(16, model.d_ff)
+    with pytest.raises(ParameterError, match=rf"rank {rank} exceeds min\(d, d_ff\) = {cap}"):
+        small_cfg(model=model, mode=mode, rank=rank)
+    assert small_cfg(model=model, mode=mode, rank=cap).rank == cap
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.FROZEN])
+def test_config_allows_any_rank_without_an_adapter(mode):
+    assert small_cfg(mode=mode, rank=17).rank == 17
+
+
+@pytest.mark.parametrize("kw,named", [
+    ({"alpha": 0.0}, "alpha must be positive"),
+    ({"alpha": -1}, "alpha must be positive"),
+    ({"task": "sort"}, "task must be one of"),
+    ({"task": None}, "task must be one of"),
+])
+def test_config_rejects_values_a_run_would_fail_on(kw, named):
+    with pytest.raises(ParameterError, match=named):
+        small_cfg(**kw)
+
+
+SMALL_DICT = {"d": 16, "n_layers": 1, "n_heads": 2, "vocab": 12, "seq_len": 8}
+
+
+@pytest.mark.parametrize("d,named", [
+    ([], "JSON object"),
+    ({"mode": "lora-fa"}, "JSON object"),
+    ({"model": 5, "mode": "lora-fa"}, "JSON object"),
+    ({"model": {}, "mode": "lora-fa"}, "missing ModelConfig keys: d, n_heads"),
+    ({"model": SMALL_DICT}, "missing RunConfig keys: mode"),
+    ({"model": SMALL_DICT, "mode": "qlora"}, "mode must be one of"),
+    ({"model": SMALL_DICT, "mode": ["ft"]}, "mode must be one of"),
+])
+def test_config_from_dict_rejects_malformed_objects(d, named):
+    with pytest.raises(ParameterError, match=named):
+        RunConfig.from_dict(d)
+
+
 def test_config_dict_roundtrip():
     cfg = small_cfg(steps=4, alpha=0.25)
     again = RunConfig.from_dict(cfg.to_dict())
@@ -220,6 +264,7 @@ def test_sweep_rejects_empty_axes():
     ([1], [1e-2, float("nan")], "lr must be finite"),
     ([1], [1e-2, -1.0], "lr must be positive"),
     ([1, 0], [1e-2], "rank 0 is below 1"),
+    ([1, 17], [1e-2], "rank 17 exceeds min"),
 ])
 def test_sweep_rejects_bad_axis_values_before_training(monkeypatch, ranks, lrs, named):
     trained = []
