@@ -15,7 +15,7 @@ from . import gradcheck, memory
 from .adapters import Mode, init_adapter
 from .equivalence import SUBSPACE_PASS_RESIDUAL, estimate_unbiasedness, subspace_check, verify_sgd_equivalence
 from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
-from .model import ModelConfig, build_model, forward_loss
+from .model import ModelConfig, build_model, check_rank, forward_loss
 from .rng import RngState, derive, randint, randn
 from .train import RunConfig, dumps_canonical, sweep, train_run
 
@@ -118,6 +118,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_memreport(args: argparse.Namespace) -> int:
     config = ModelConfig(**_override(dict(_RUN_DEFAULTS["model"]), args, ModelConfig))
     mode = Mode(args.mode)
+    check_rank(config, mode, args.rank)
     mods = memory.Modifiers(
         weight_bits=args.weight_bits,
         num_shards=args.num_shards,

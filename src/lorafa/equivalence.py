@@ -96,17 +96,16 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
     The residual and the rank share one projection, the r x d_out
     coefficients C = Q^T delta_w in the orthonormal basis Q of col(A),
     which ops.qr takes from LAPACK. A zero delta_w (e.g. before any
-    update) reports residual 0 by definition. Both rank rules count
-    against the repo-wide 1e-8 relative threshold (ops.RANK_REL_TOL) on
-    the Frobenius norm. When the residual is below
+    update) reports residual 0 by definition. The rank is the count of
+    singular values above the repo-wide 1e-8 relative threshold
+    (ops.RANK_REL_TOL) on the Frobenius norm (ops.numerical_rank: one
+    values-only LAPACK SVD). When the residual is below
     RANK_FROM_COEFF_RESIDUAL, delta_w = Q C up to rounding; Q has
     orthonormal columns, so delta_w and C share their singular values and
-    the rank is the count of C's singular values above the threshold
-    (ops.numerical_rank: one LAPACK SVD of an r x d_out matrix, values
-    only). Otherwise the full delta_w is factored by the pivoted-QR
-    diagonal rule (ops.pivoted_rank), so a component outside col(A) is
-    still counted. Per layer a snapshot costs one LAPACK QR of A
-    plus one values-only SVD of the coefficients.
+    the rank is taken from the r x d_out matrix C. Otherwise the full
+    delta_w is used, so a component outside col(A) is still counted. Per
+    layer a snapshot costs one LAPACK QR of A plus one values-only SVD of
+    the coefficients.
     """
     if a.ndim != 2 or delta_w.ndim != 2 or a.shape[0] != delta_w.shape[0]:
         raise DimensionError(f"incompatible shapes A {a.shape}, delta_w {delta_w.shape}")
@@ -118,8 +117,8 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
     else:
         off = delta_w - q @ coeff
         residual = float(np.linalg.norm(off) / max(norm, SUBSPACE_TINY))
-    if residual < RANK_FROM_COEFF_RESIDUAL:
-        rank = ops.numerical_rank(coeff)
-    else:
-        rank = ops.pivoted_rank(delta_w)
-    return SubspaceReport(residual=residual, numerical_rank=rank)
+    in_subspace = residual < RANK_FROM_COEFF_RESIDUAL
+    return SubspaceReport(
+        residual=residual,
+        numerical_rank=ops.numerical_rank(coeff if in_subspace else delta_w),
+    )

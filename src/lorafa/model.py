@@ -75,6 +75,19 @@ class ModelConfig:
         if self.d % self.n_heads != 0:
             raise ParameterError(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
+    @property
+    def max_rank(self) -> int:
+        """Largest adapter rank: min(d_in, d_out) over the block's linears."""
+        return min(self.d, self.d_ff)
+
+
+def check_rank(config: ModelConfig, mode: Mode, rank: int) -> None:
+    """ParameterError unless 1 <= rank, and rank <= config.max_rank in an adapter mode."""
+    if rank < 1:
+        raise ParameterError(f"rank {rank} is below 1")
+    if mode.has_adapter and rank > config.max_rank:
+        raise ParameterError(f"rank {rank} exceeds min(d, d_ff) = {config.max_rank}")
+
 
 def block_layer_specs(config: ModelConfig) -> list[tuple[str, int, int, bool]]:
     """The six linear layers of one block: (name, d_in, d_out, shares_input).
@@ -152,8 +165,7 @@ def build_model(
     """
     if rng is None:
         rng = RngState(0)
-    if rank < 1 or (mode.has_adapter and rank > config.d):
-        raise ParameterError(f"rank {rank} outside [1, hidden dimension {config.d}]")
+    check_rank(config, mode, rank)
     rng_w = derive(rng, "weights")
     rng_a = derive(rng, "adapters")
     rng_e = derive(rng, "embeddings")

@@ -38,8 +38,7 @@ _GELU_A = 0.044715
 # 128 KB, so one block of each operand and scratch row stays in a core's L2.
 BLOCK = 16_384
 
-# Relative threshold on pivoted-QR diagonals or singular values when counting
-# numerical rank.
+# Relative threshold on singular values when counting numerical rank.
 RANK_REL_TOL = 1e-8
 
 LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
@@ -277,14 +276,16 @@ def qr(m: np.ndarray):
     return ensure_finite(q, "qr"), ensure_finite(rr, "qr")
 
 
-def _pivoted_householder(m: np.ndarray):
-    """Column-pivoted Householder steps on a float64 copy of m: (work, vs, perm).
+def qr_pivoted(m: np.ndarray):
+    """Column-pivoted Householder QR: m[:, perm] = q @ rr.
 
-    work holds rr in its upper triangle, vs the min(d, n) unit reflectors
-    (zero for a zero column) and perm the column order. Norms and reflector
-    updates are the sums np.linalg.norm and np.outer evaluate, called
-    directly, so every result is bit for bit theirs.
+    Pivoting on the largest remaining column norm makes |diag(rr)|
+    non-increasing. Norms and reflector updates are the sums
+    np.linalg.norm and np.outer evaluate, called directly, so every result
+    is bit for bit theirs; a zero column gets a zero reflector.
     """
+    if m.ndim != 2:
+        raise DimensionError("qr_pivoted expects a matrix")
     work = np.array(m, dtype=np.float64, copy=True)
     d, n = work.shape
     perm = np.arange(n)
@@ -309,22 +310,9 @@ def _pivoted_householder(m: np.ndarray):
         else:
             v[:] = 0.0
         vs.append(v)
-    return work, vs, perm
-
-
-def qr_pivoted(m: np.ndarray):
-    """Column-pivoted Householder QR: m[:, perm] = q @ rr.
-
-    Pivoting on the largest remaining column norm makes |diag(rr)|
-    non-increasing, which is what makes the diagonal a reliable rank
-    detector.
-    """
-    if m.ndim != 2:
-        raise DimensionError("qr_pivoted expects a matrix")
-    work, vs, perm = _pivoted_householder(m)
     k = len(vs)
     rr = np.triu(work[:k, :])
-    q = np.eye(work.shape[0], k)
+    q = np.eye(d, k)
     for j in reversed(range(k)):
         _apply_reflector(vs[j], q[j:, :])
     return ensure_finite(q, "qr_pivoted"), ensure_finite(rr, "qr_pivoted"), perm
@@ -338,20 +326,3 @@ def numerical_rank(m: np.ndarray) -> int:
     if scale_f == 0.0:
         return 0
     return int(np.sum(np.linalg.svd(m, compute_uv=False) > RANK_REL_TOL * scale_f))
-
-
-def pivoted_rank(m: np.ndarray) -> int:
-    """Count pivoted-QR diagonal entries above RANK_REL_TOL * ||m||_F (rr only, no q).
-
-    numerical_rank's threshold on the diagonals that approximate the
-    singular values; the rule subspace_check keeps for a delta_w that
-    leaves col(A).
-    """
-    if m.ndim != 2:
-        raise DimensionError("pivoted_rank expects a matrix")
-    scale_f = np.linalg.norm(m)
-    if scale_f == 0.0:
-        return 0
-    work, _, _ = _pivoted_householder(m)
-    diag = np.abs(ensure_finite(work, "pivoted_rank").diagonal())
-    return int(np.sum(diag > RANK_REL_TOL * scale_f))

@@ -20,6 +20,7 @@ from .model import (
     TransformerModel,
     backward,
     build_model,
+    check_rank,
     count_trainable,
     forward_loss,
     require_number,
@@ -67,13 +68,8 @@ class RunConfig:
             raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
         if self.task not in TASK_KINDS:
             raise ParameterError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
-        if self.rank < 1:
-            raise ParameterError(f"rank {self.rank} is below 1")
-        # The bound init_adapter enforces on every adapted linear, met here so
-        # that a sweep cell cannot fail on it after training began.
-        rank_cap = min(self.model.d, self.model.d_ff)
-        if self.mode.has_adapter and self.rank > rank_cap:
-            raise ParameterError(f"rank {self.rank} exceeds min(d, d_ff) = {rank_cap}")
+        # Met here so that a sweep cell cannot fail on it after training began.
+        check_rank(self.model, self.mode, self.rank)
         if self.steps < 0:
             raise ParameterError("steps must be >= 0")
         if not self.lr > 0:

@@ -216,6 +216,16 @@ def test_memreport_probe_reconciles(capsys):
     assert rep["measured"]["linear_low_elements"] == 6 * 1 * 2 * 8 * 2
 
 
+@pytest.mark.parametrize("probe", [[], ["--probe"]])
+def test_memreport_rank_above_min_d_and_d_ff_is_config_error(capsys, probe):
+    code, out, err = run_cli(
+        capsys, "memreport", "--mode", "lora-fa", "--rank", "17", "--d", "16", "--heads", "2", *probe
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "rank 17 exceeds min(d, d_ff) = 16" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--d", "0", "--rank", "0"],
     ["--layers", "0"],

@@ -335,6 +335,21 @@ def test_rank_larger_than_d_rejected():
         build_model(CFG, Mode.LORA, rank=CFG.d + 1, rng=RngState(0))
 
 
+@pytest.mark.parametrize("mode", [Mode.LORA, Mode.LORA_FA])
+def test_rank_above_min_d_and_d_ff_rejected_before_any_layer(monkeypatch, mode):
+    cfg = ModelConfig(d=16, n_layers=1, n_heads=2, vocab=7, seq_len=4, d_ff=4)
+    assert cfg.max_rank == 4
+    built = build_model(cfg, mode, rank=4, rng=RngState(0))
+    assert built.blocks[0].ffn2.a.shape == (4, 4)
+
+    def no_layer(*args, **kw):
+        raise AssertionError("init_adapter called for an out-of-range rank")
+
+    monkeypatch.setattr(adapters, "init_adapter", no_layer)
+    with pytest.raises(ParameterError, match=r"rank 8 exceeds min\(d, d_ff\) = 4"):
+        build_model(cfg, mode, rank=8, rng=RngState(0))
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_rank_below_one_rejected(mode):
     # the default alpha is 1 / rank, so rank 0 used to end in ZeroDivisionError

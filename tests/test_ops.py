@@ -182,9 +182,9 @@ def test_numerical_rank_rejects_non_matrix(shape, fill):
 
 # --- qr against plain Householder loops ---------------------------------------
 # Reference loops, unpivoted and column-pivoted, written with np.linalg.norm
-# and np.outer. qr_pivoted and pivoted_rank do the same arithmetic with
-# fewer numpy calls and must match bit for bit; ops.qr (LAPACK) within
-# QR_TOL; numerical_rank (singular values) must give the reference's rank.
+# and np.outer. qr_pivoted does the same arithmetic with fewer numpy calls
+# and must match bit for bit; ops.qr (LAPACK) within QR_TOL; numerical_rank
+# (singular values) must give the rank of the pivoted-QR diagonal rule.
 
 def _ref_reflect(v, block):
     block -= 2.0 * np.outer(v, v @ block)
@@ -290,22 +290,6 @@ def test_numerical_rank_of_cases():
     assert [ops.numerical_rank(PIVOT_CASES[k]) for k in (
         "rank3_12x9", "zero_column", "tied_columns", "all_zero"
     )] == [3, 8, 8, 0]
-
-
-@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
-def test_pivoted_rank_matches_reference(name):
-    m = PIVOT_CASES[name]
-    assert ops.pivoted_rank(m) == _ref_pivoted_rank(m)
-
-
-def test_pivoted_rank_rejects_bad_input():
-    m = randn((8, 64), RngState(3))
-    m[5, 0] = np.nan
-    with pytest.raises(NumericsError):
-        ops.pivoted_rank(m)
-    for shape in ((5,), (2, 3, 4)):
-        with pytest.raises(DimensionError):
-            ops.pivoted_rank(np.zeros(shape))
 
 
 # LAPACK and the old loop apply the same reflectors in a different order of
