@@ -24,6 +24,7 @@ product but x@A, which dB reads.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -107,6 +108,7 @@ class RetainedActivations:
         return self._x_low
 
 
+@dataclass(eq=False)  # layers compare by identity
 class AdaptedLinear:
     """A d_in x d_out linear map with an optional low-rank adapter.
 
@@ -116,21 +118,15 @@ class AdaptedLinear:
     scaling by it never promotes the layer's dtype.
     """
 
-    def __init__(
-        self,
-        w: np.ndarray,
-        a: Optional[np.ndarray],
-        b: Optional[np.ndarray],
-        rank: int,
-        alpha: float,
-        mode: Mode,
-    ):
-        self.w = w
-        self.a = a
-        self.b = b
-        self.rank = rank
-        self.alpha = float(alpha)
-        self.mode = mode
+    w: np.ndarray
+    a: Optional[np.ndarray]
+    b: Optional[np.ndarray]
+    rank: int
+    alpha: float
+    mode: Mode
+
+    def __post_init__(self):
+        self.alpha = float(self.alpha)
 
     @property
     def d_in(self) -> int:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
 
-from . import gradcheck, memory
+from . import equivalence, gradcheck, memory, optim, tasks
 from .adapters import Mode, init_adapter
-from .equivalence import SUBSPACE_PASS_RESIDUAL, estimate_unbiasedness, subspace_check, verify_sgd_equivalence
 from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
-from .model import ModelConfig, build_model, check_rank, forward_loss
+from .model import ModelConfig, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
 from .train import RunConfig, dumps_canonical, sweep, train_run
 
@@ -26,34 +26,38 @@ EXIT_DIVERGED = 3
 EXIT_RECONCILE = 4
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=None, help="hidden dimension")
-    p.add_argument("--layers", dest="n_layers", type=int, default=None, help="number of blocks")
-    p.add_argument("--heads", dest="n_heads", type=int, default=None, help="attention heads")
-    p.add_argument("--vocab", type=int, default=None)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--d-ff", type=int, default=None)
+# Flags not named after their field with dashes.
+_FLAG_NAMES = {"n_layers": "--layers", "n_heads": "--heads", "report_path": "--report"}
+
+# Allowed values per field; the config dataclasses check the same constants.
+_CHOICES = {"mode": [m.value for m in Mode], "task": tasks.TASK_KINDS,
+            "optimizer": optim.OPTIMIZERS, "weight_bits": memory.WEIGHT_BITS}
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
+    """One flag per field of dataclass cls (only those in names, if given).
+
+    dest is the field name and the default None, so a flag overrides its
+    field only when given. The type is the field's, Optional[...]
+    unwrapped; a Mode is parsed as its string and a bool is a switch. A
+    field holding a dataclass (RunConfig.model) gets no flag.
+    """
+    for name, kind in get_type_hints(cls).items():
+        if (names is not None and name not in names) or is_dataclass(kind):
+            continue
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if kind is bool:
+            p.add_argument(flag, dest=name, action="store_true", default=None)
+            continue
+        kind = (get_args(kind) or (kind,))[0]  # Optional[X] is Union[X, None]
+        p.add_argument(flag, dest=name, type=str if kind is Mode else kind, default=None,
+                       choices=_CHOICES.get(name))
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON run config; flags override")
-    p.add_argument("--task", type=str, default=None, choices=["copy", "reverse", "char-lm"])
-    p.add_argument("--mode", type=str, default=None,
-                   choices=[m.value for m in Mode])
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", type=str, default=None, choices=["adamw", "sgd"])
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-examples", type=int, default=None)
-    p.add_argument("--warmup-steps", type=int, default=None)
-    p.add_argument("--equiv-every", type=int, default=None)
-    p.add_argument("--report", dest="report_path", type=str, default=None,
-                   help="write the JSON report here")
-    _add_model_flags(p)
+    _add_flags(p, RunConfig)
+    _add_flags(p, ModelConfig)
 
 
 # The CLI's model geometry and mode; every other run default is RunConfig's.
@@ -63,7 +67,6 @@ _RUN_DEFAULTS = {
         "seq_len": 16, "batch_size": 16, "d_ff": None,
     },
     "mode": "lora-fa",
-    **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING},
 }
 
 def _override(cfg: dict, args: argparse.Namespace, cls) -> dict:
@@ -76,14 +79,14 @@ def _override(cfg: dict, args: argparse.Namespace, cls) -> dict:
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The validated RunConfig: defaults, then the --config file, then the given flags."""
     cfg = json.loads(json.dumps(_RUN_DEFAULTS))  # deep copy
-    if args.config:
+    if getattr(args, "config", None):  # memreport has no --config
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("model", {}), dict):
             raise ParameterError("config file must hold a JSON object; its 'model' too")
-        model_part = file_cfg.pop("model", {})
-        cfg["model"].update(model_part)
+        cfg["model"].update(file_cfg.pop("model", {}))
         cfg.update(file_cfg)
     _override(cfg["model"], args, ModelConfig)
     _override(cfg, args, RunConfig)
@@ -116,32 +119,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_memreport(args: argparse.Namespace) -> int:
-    config = ModelConfig(**_override(dict(_RUN_DEFAULTS["model"]), args, ModelConfig))
-    mode = Mode(args.mode)
-    check_rank(config, mode, args.rank)
-    mods = memory.Modifiers(
-        weight_bits=args.weight_bits,
-        num_shards=args.num_shards,
-        full_recompute=args.full_recompute,
-    )
+    cfg = _run_config_from_args(args)
+    config, mode, rank = cfg.model, cfg.mode, cfg.rank
+    mods = memory.Modifiers(**_override({}, args, memory.Modifiers))
     b, s = config.batch_size, config.seq_len
     out = {
-        "analytic_paper_constant": memory.analytic_report(
-            config, mode, args.rank, b, s, mods, "paper_constant").to_dict(),
-        "analytic_per_layer_count": memory.analytic_report(
-            config, mode, args.rank, b, s, mods, "per_layer_count").to_dict(),
+        f"analytic_{model}": memory.analytic_report(config, mode, rank, b, s, mods, model).to_dict()
+        for model in ("paper_constant", "per_layer_count")
     }
     if args.probe:
-        m = build_model(config, mode, args.rank, None, RngState(args.seed))
-        rng = derive(RngState(args.seed), "memreport-probe")
+        m = build_model(config, mode, rank, None, RngState(cfg.seed))
+        rng = derive(RngState(cfg.seed), "memreport-probe")
         tokens = randint(rng, 0, config.vocab, (b, s))
         targets = randint(rng, 0, config.vocab, (b, s))
         _, tape = forward_loss(m, tokens, targets)
         measured = memory.measured_activation_elements(tape)
         out["measured"] = measured.to_dict()
-        out["reconciliation"] = memory.reconcile(config, mode, args.rank, measured, b, s)
+        out["reconciliation"] = memory.reconcile(config, mode, rank, measured, b, s)
     print(dumps_canonical(out))
     return EXIT_OK
+
+
+def _verdict(record: dict, key: str, value: float, threshold: float) -> bool:
+    """Print record with value under key, the threshold and whether value < threshold."""
+    ok = value < threshold
+    print(dumps_canonical({**record, key: value, "threshold": threshold, "pass": ok}))
+    return ok
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
@@ -159,25 +162,19 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         layer.b[:] = randn(layer.b.shape, rng)
         x = randn((2, 3, d_in), rng)
         dy = randn((2, 3, d_out), rng)
-        worst = max(worst, verify_sgd_equivalence(layer, x, dy, eta=0.1))
-    ok = worst < 1e-10
-    all_pass &= ok
-    print(dumps_canonical({"check": "sgd_compression_equivalence",
-                           "layers": args.layers, "max_abs_discrepancy": worst,
-                           "threshold": 1e-10, "pass": ok}))
+        worst = max(worst, equivalence.verify_sgd_equivalence(layer, x, dy, eta=0.1))
+    all_pass &= _verdict({"check": "sgd_compression_equivalence", "layers": args.layers},
+                         "max_abs_discrepancy", worst, equivalence.SGD_PASS_DISCREPANCY)
 
-    err = estimate_unbiasedness(8, 4, args.samples, rng)
-    ok = err < 0.02
-    all_pass &= ok
-    print(dumps_canonical({"check": "unbiasedness", "d": 8, "rank": 4,
-                           "samples": args.samples, "rel_error": err,
-                           "threshold": 0.02, "pass": ok}))
+    err = equivalence.estimate_unbiasedness(8, 4, args.samples, rng)
+    all_pass &= _verdict({"check": "unbiasedness", "d": 8, "rank": 4, "samples": args.samples},
+                         "rel_error", err, equivalence.UNBIASED_PASS_REL_ERROR)
 
     layer = init_adapter(16, 8, 4, None, Mode.LORA_FA, rng)
     layer.b[:] = randn(layer.b.shape, rng)
     delta = layer.alpha * (layer.a @ layer.b)
-    rep = subspace_check(layer.a, delta)
-    ok = rep.residual < SUBSPACE_PASS_RESIDUAL and rep.numerical_rank <= 4
+    rep = equivalence.subspace_check(layer.a, delta)
+    ok = rep.residual < equivalence.SUBSPACE_PASS_RESIDUAL and rep.numerical_rank <= 4
     all_pass &= ok
     print(dumps_canonical({"check": "subspace", "residual": rep.residual,
                            "numerical_rank": rep.numerical_rank, "rank_bound": 4,
@@ -188,21 +185,15 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     all_pass = True
     for name, err in gradcheck.check_primitives(args.seed, args.trials).items():
-        ok = err < 1e-5
-        all_pass &= ok
-        print(dumps_canonical({"check": f"primitive:{name}", "max_rel_error": err,
-                               "threshold": 1e-5, "pass": ok}))
+        all_pass &= _verdict({"check": f"primitive:{name}"}, "max_rel_error", err,
+                             gradcheck.PRIMITIVE_PASS_REL_ERROR)
     for mode in (Mode.FT, Mode.LORA, Mode.LORA_FA):
-        err = gradcheck.check_adapter_layer(mode, args.seed)
-        ok = err < 1e-5
-        all_pass &= ok
-        print(dumps_canonical({"check": f"adapter:{mode.value}", "max_rel_error": err,
-                               "threshold": 1e-5, "pass": ok}))
-        err = gradcheck.check_tiny_model(mode, args.seed)
-        ok = err < 1e-4
-        all_pass &= ok
-        print(dumps_canonical({"check": f"model:{mode.value}", "max_rel_error": err,
-                               "threshold": 1e-4, "pass": ok}))
+        all_pass &= _verdict({"check": f"adapter:{mode.value}"}, "max_rel_error",
+                             gradcheck.check_adapter_layer(mode, args.seed),
+                             gradcheck.ADAPTER_PASS_REL_ERROR)
+        all_pass &= _verdict({"check": f"model:{mode.value}"}, "max_rel_error",
+                             gradcheck.check_tiny_model(mode, args.seed),
+                             gradcheck.MODEL_PASS_REL_ERROR)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -211,26 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run one training configuration")
-    _add_run_flags(p)
+    _add_config_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep", help="grid over ranks and learning rates")
-    _add_run_flags(p)
+    _add_config_flags(p)
     p.add_argument("--ranks", type=str, required=True, help="comma-separated, e.g. 1,4,8")
     p.add_argument("--lrs", type=str, required=True, help="comma-separated, e.g. 1e-3,3e-4")
     p.add_argument("--out", type=str, default=None, help="prefix for .json/.csv outputs")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("memreport", help="analytic memory breakdown, optionally measured")
-    _add_model_flags(p)
-    p.add_argument("--mode", type=str, default=_RUN_DEFAULTS["mode"],
-                   choices=[m.value for m in Mode])
-    p.add_argument("--rank", type=int, default=_RUN_DEFAULTS["rank"])
-    p.add_argument("--weight-bits", type=int, default=16, choices=[16, 8, 4])
-    p.add_argument("--num-shards", type=int, default=1)
-    p.add_argument("--full-recompute", action="store_true")
+    _add_flags(p, RunConfig, ("mode", "rank", "seed"))
+    _add_flags(p, ModelConfig)
+    _add_flags(p, memory.Modifiers)
     p.add_argument("--probe", action="store_true", help="also measure via a real forward")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_memreport)
 
     p = sub.add_parser("equiv", help="gradient-compression equivalence checks")
@@ -247,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ReconciliationError as exc:
         print(f"reconciliation failure: {exc}", file=sys.stderr)
@@ -257,7 +242,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (LorafaError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LorafaError, OSError, ValueError) as exc:  # ValueError: also bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,6 +26,9 @@ from .rng import RngState, randn
 SUBSPACE_TINY = 1e-30  # residual denominator floor for the zero-update case
 # A subspace snapshot passes when its residual is below this (criterion 04).
 SUBSPACE_PASS_RESIDUAL = 1e-10
+# `lorafa equiv` pass thresholds: SGD identity max-abs gap, unbiasedness error.
+SGD_PASS_DISCREPANCY = 1e-10
+UNBIASED_PASS_REL_ERROR = 0.02
 # Residual below which subspace_check takes the rank from Q^T delta_w: four
 # decades under ops.RANK_REL_TOL, so the part of delta_w outside col(A) is
 # far too small to lift a singular value over the rank threshold.

@@ -29,7 +29,8 @@ softmax) is measured by the meter but excluded from analytic comparison.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .adapters import Mode, RetainedActivations
@@ -37,6 +38,7 @@ from .errors import ParameterError, ReconciliationError
 from .model import ModelConfig, Tape, block_layer_specs, count_trainable_formula
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
+WEIGHT_BITS = (16, 8, 4)  # frozen-weight precisions the analytic model prices
 
 
 @dataclass
@@ -48,8 +50,8 @@ class Modifiers:
     full_recompute: bool = False
 
     def __post_init__(self):
-        if self.weight_bits not in (16, 8, 4):
-            raise ParameterError(f"weight_bits must be 16, 8, or 4, got {self.weight_bits}")
+        if self.weight_bits not in WEIGHT_BITS:
+            raise ParameterError(f"weight_bits must be in {WEIGHT_BITS}, got {self.weight_bits}")
         if self.num_shards < 1:
             raise ParameterError("num_shards must be >= 1")
 
@@ -123,6 +125,8 @@ def analytic_report(
     Sharding and quantization apply to the frozen weight bytes only;
     adapter-related state is never sharded. full_recompute zeroes the
     linear activation term and flags that recompute flops would be paid.
+    Every block is alike, so per_layer_count is one block's enumeration
+    times n_layers. A byte total beyond the float range is a ParameterError.
     """
     if activation_model not in ("paper_constant", "per_layer_count"):
         raise ParameterError(f"unknown activation model {activation_model!r}")
@@ -132,30 +136,31 @@ def analytic_report(
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
     mods = modifiers or Modifiers()
-    n = weight_param_count(config)
-    weight_bytes = 2.0 * n * (mods.weight_bits / 16.0) / mods.num_shards
-    state_per_element = 14.0 if "w" in mode.trains else 16.0
-    state = state_per_element * count_trainable_formula(config, mode, rank)
     if activation_model == "paper_constant":
         full, low = _paper_constant_elements(config, mode, rank, b, s)
     else:
-        per_layer = analytic_linear_elements(config, mode, rank, b, s)
-        full = sum(v["full"] for v in per_layer.values())
-        low = sum(v["low"] for v in per_layer.values())
-    act_linear = float((full + low) * BYTES_PER_ELEMENT)
-    recompute = False
-    if mods.full_recompute:
-        act_linear = 0.0
-        recompute = True
-    return MemoryBreakdown(
-        mode=mode.value,
-        accounting_bytes_per_element=BYTES_PER_ELEMENT,
-        weight_bytes=weight_bytes,
-        trainable_state_bytes=state,
-        activation_bytes_linear=act_linear,
-        activation_bytes_other=0.0,
-        recompute_flops_flag=recompute,
-    )
+        block = analytic_linear_elements(replace(config, n_layers=1), mode, rank, b, s).values()
+        full = config.n_layers * sum(v["full"] for v in block)
+        low = config.n_layers * sum(v["low"] for v in block)
+    n = weight_param_count(config)
+    state_per_element = 14.0 if "w" in mode.trains else 16.0
+    linear = 0 if mods.full_recompute else (full + low) * BYTES_PER_ELEMENT
+    try:
+        out = MemoryBreakdown(
+            mode=mode.value,
+            accounting_bytes_per_element=BYTES_PER_ELEMENT,
+            weight_bytes=2.0 * n * (mods.weight_bits / 16.0) / mods.num_shards,
+            trainable_state_bytes=state_per_element * count_trainable_formula(config, mode, rank),
+            activation_bytes_linear=float(linear),
+            activation_bytes_other=0.0,
+            recompute_flops_flag=bool(mods.full_recompute),
+        )
+        finite = math.isfinite(out.total_bytes)
+    except OverflowError:  # an integer count beyond the float range
+        finite = False
+    if not finite:
+        raise ParameterError("memory byte totals exceed the float range")
+    return out
 
 
 @dataclass

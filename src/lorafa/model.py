@@ -120,14 +120,8 @@ class Block:
     ffn2: AdaptedLinear
 
     def layers(self) -> dict[str, AdaptedLinear]:
-        return {
-            "attn_q": self.attn_q,
-            "attn_k": self.attn_k,
-            "attn_v": self.attn_v,
-            "attn_o": self.attn_o,
-            "ffn1": self.ffn1,
-            "ffn2": self.ffn2,
-        }
+        """The adapted linears by name, in field (and block_layer_specs) order."""
+        return {name: v for name, v in vars(self).items() if isinstance(v, AdaptedLinear)}
 
 
 @dataclass
@@ -207,10 +201,11 @@ def build_model(
 @dataclass
 class BlockCache:
     """One block's retained arrays in forward order; a RetainedActivations
-    field carries its layer's block_layer_specs name, the meter's key."""
+    field carries its layer's block_layer_specs name, the meter's key.
+    ln1's stats are None where the block's input gradient is dead."""
 
-    ln1_xhat: np.ndarray
-    ln1_inv: np.ndarray
+    ln1_xhat: Optional[np.ndarray]
+    ln1_inv: Optional[np.ndarray]
     attn_q: RetainedActivations
     attn_k: RetainedActivations
     attn_v: RetainedActivations
@@ -257,11 +252,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _block_forward(model, block: Block, x: np.ndarray, tape: Tape) -> np.ndarray:
+def _input_grad_live(model: TransformerModel, i: int) -> bool:
+    """Whether block i's input gradient is live: the mode trains the embeddings
+    (with the other dense tensors) or block i - 1's linears. Where it is not,
+    block i's ln1 vjp is dead, and forward drops the ln1 stats it would read."""
+    return model.mode.trains_dense or i > 0
+
+
+def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: bool) -> np.ndarray:
     nh = model.config.n_heads
     dh = model.config.d // nh
 
     h, xh1, inv1 = ops.layer_norm(x, block.ln1_gamma, block.ln1_beta)
+    if not keep_ln1:
+        xh1 = inv1 = None
     q, kept_q = adapters.forward(block.attn_q, h)
     k, kept_k = adapters.forward(block.attn_k, h)
     v, kept_v = adapters.forward(block.attn_v, h)
@@ -312,8 +316,8 @@ def _forward(model: TransformerModel, tokens: np.ndarray):
         raise DataError("token id out of range")
     tape = Tape(b=b, s=s, tokens=tokens)
     x = model.tok_emb[tokens] + model.pos_emb[:s]
-    for block in model.blocks:
-        x = _block_forward(model, block, x, tape)
+    for i, block in enumerate(model.blocks):
+        x = _block_forward(model, block, x, tape, _input_grad_live(model, i))
     h, tape.lnf_xhat, tape.lnf_inv = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
     if model.mode.trains_dense:
         # Tied head: h is needed for the embedding gradient only when training it.
@@ -428,9 +432,10 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     """Gradients for exactly the mode's trainable set, keyed like trainable_params.
 
     Only live gradients are computed. Block i's input gradient is live when
-    the mode trains dense tensors (embeddings, layer norms) or i > 0, so in
-    lora and lora-fa block 0's query/key/value return only their adapter
-    gradients and its ln1 vjp is skipped; layer-norm dgamma/dbeta exist only
+    the mode trains dense tensors (embeddings, layer norms) or i > 0
+    (_input_grad_live), so in lora and lora-fa block 0's query/key/value
+    return only their adapter gradients and its ln1 vjp is skipped (the
+    tape holds no stats for it); layer-norm dgamma/dbeta exist only
     where the mode trains dense tensors; in frozen mode, which trains
     nothing, the result is {} once the tape is validated.
     """
@@ -462,9 +467,8 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
         grads["ln_f.gamma"] = dgf
         grads["ln_f.beta"] = dbf
     for i in reversed(range(len(model.blocks))):
-        dx = _block_backward(
-            model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}", dense or i > 0
-        )
+        dx = _block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}",
+                             _input_grad_live(model, i))
     if dense:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)

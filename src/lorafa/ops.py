@@ -80,8 +80,12 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
     """d(a @ b) for ``matmul``: da = upstream @ b^T, db = a^T @ upstream.
 
     da is one folded product like the forward's; the leading dimensions of
-    ``a`` are folded into db.
+    ``a`` are folded into db. upstream must have the product's shape.
     """
+    # A b that is not 2-d fails matmul's own check below.
+    product = a.shape[:-1] + b.shape[1:]
+    if b.ndim == 2 and (a.shape[-1:] != b.shape[:1] or upstream.shape != product):
+        raise DimensionError(f"matmul_vjp shapes: {a.shape} x {b.shape}, upstream {upstream.shape}")
     da = matmul(upstream, b.T)
     db = a.reshape(-1, a.shape[-1]).T @ upstream.reshape(-1, upstream.shape[-1])
     return da, ensure_finite(db, "matmul vjp")
@@ -161,7 +165,10 @@ def gelu_vjp(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     out_dt = _gelu_result_dtype(x)
     out = np.empty(x.shape, out_dt)
     if np.shape(upstream) != x.shape:
-        upstream = np.broadcast_to(upstream, x.shape)
+        try:
+            upstream = np.broadcast_to(upstream, x.shape)
+        except ValueError:
+            raise DimensionError(f"gelu_vjp upstream {np.shape(upstream)} vs x {x.shape}") from None
     _blockwise(_gelu_vjp_kernel, (x, upstream, out), (x.dtype, x.dtype, out_dt, out_dt))
     return ensure_finite(out, "gelu vjp")
 
@@ -182,6 +189,8 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    if upstream.shape != probs.shape:
+        raise DimensionError(f"softmax_rows_vjp upstream {upstream.shape} vs probs {probs.shape}")
     t = np.multiply(upstream, probs)
     dot = np.sum(t, axis=-1, keepdims=True)
     np.subtract(upstream, dot, out=t)

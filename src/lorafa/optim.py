@@ -17,6 +17,8 @@ from .errors import DimensionError, ParameterError, StateError
 
 Params = dict[str, np.ndarray]
 
+OPTIMIZERS = ("adamw", "sgd")  # the update rules a run config can name
+
 
 @dataclass
 class SGDConfig:

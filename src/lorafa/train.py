@@ -64,8 +64,8 @@ class RunConfig:
                 raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.report_path is not None and not isinstance(self.report_path, str):
             raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
-        if self.optimizer not in ("adamw", "sgd"):
-            raise ParameterError(f"optimizer must be adamw or sgd, got {self.optimizer!r}")
+        if self.optimizer not in optim.OPTIMIZERS:
+            raise ParameterError(f"optimizer must be in {optim.OPTIMIZERS}, got {self.optimizer!r}")
         if self.task not in TASK_KINDS:
             raise ParameterError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
         # Met here so that a sweep cell cannot fail on it after training began.

@@ -1,10 +1,20 @@
+import argparse
 import json
 from dataclasses import fields
 
 import pytest
 
 from lorafa.adapters import Mode
-from lorafa.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, _run_config_from_args, build_parser, main
+from lorafa.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    _override,
+    _run_config_from_args,
+    build_parser,
+    main,
+)
+from lorafa.memory import Modifiers
 from lorafa.model import ModelConfig
 from lorafa.train import RunConfig
 
@@ -181,6 +191,94 @@ def test_each_train_flag_sets_the_config_field_of_its_name(tmp_path):
         assert getattr(cfg, name) == value, name
 
 
+# The command-line surface, per subcommand: dest -> (option strings, type,
+# default, choices); a switch has type None. The flags of a config field
+# default to None, so only a given flag overrides the config.
+MODEL_FLAGS = {
+    "d": (["--d"], int, None, None),
+    "n_layers": (["--layers"], int, None, None),
+    "n_heads": (["--heads"], int, None, None),
+    "vocab": (["--vocab"], int, None, None),
+    "seq_len": (["--seq-len"], int, None, None),
+    "batch_size": (["--batch-size"], int, None, None),
+    "d_ff": (["--d-ff"], int, None, None),
+}
+MODE_RANK_SEED_FLAGS = {
+    "mode": (["--mode"], str, None, ["ft", "lora", "lora-fa", "frozen"]),
+    "rank": (["--rank"], int, None, None),
+    "seed": (["--seed"], int, None, None),
+}
+RUN_FLAGS = {
+    "config": (["--config"], str, None, None),
+    **MODE_RANK_SEED_FLAGS,
+    "alpha": (["--alpha"], float, None, None),
+    "optimizer": (["--optimizer"], str, None, ["adamw", "sgd"]),
+    "lr": (["--lr"], float, None, None),
+    "weight_decay": (["--weight-decay"], float, None, None),
+    "steps": (["--steps"], int, None, None),
+    "task": (["--task"], str, None, ["copy", "reverse", "char-lm"]),
+    "n_examples": (["--n-examples"], int, None, None),
+    "warmup_steps": (["--warmup-steps"], int, None, None),
+    "equiv_every": (["--equiv-every"], int, None, None),
+    "report_path": (["--report"], str, None, None),
+    **MODEL_FLAGS,
+}
+SURFACE = {
+    "train": RUN_FLAGS,
+    "sweep": {
+        **RUN_FLAGS,
+        "ranks": (["--ranks"], str, None, None),
+        "lrs": (["--lrs"], str, None, None),
+        "out": (["--out"], str, None, None),
+    },
+    "memreport": {
+        **MODEL_FLAGS,
+        **MODE_RANK_SEED_FLAGS,
+        "weight_bits": (["--weight-bits"], int, None, [16, 8, 4]),
+        "num_shards": (["--num-shards"], int, None, None),
+        "full_recompute": (["--full-recompute"], None, None, None),
+        "probe": (["--probe"], None, False, None),
+    },
+    "equiv": {
+        "seed": (["--seed"], int, 0, None),
+        "layers": (["--layers"], int, 100, None),
+        "samples": (["--samples"], int, 100_000, None),
+    },
+    "gradcheck": {
+        "seed": (["--seed"], int, 0, None),
+        "trials": (["--trials"], int, 20, None),
+    },
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface(command):
+    actions = [a for a in _subparsers()[command]._actions if a.dest != "help"]
+    got = {
+        a.dest: (a.option_strings, a.type, a.default, a.choices and list(a.choices))
+        for a in actions
+    }
+    assert got == SURFACE[command]
+    assert {a.dest for a in actions if a.required} == (
+        {"ranks", "lrs"} if command == "sweep" else set()
+    )
+    for a in actions:
+        assert (a.nargs == 0) == (a.type is None), a.dest  # the switches take no value
+
+
+def test_memreport_unset_flags_resolve_to_the_run_defaults():
+    args = build_parser().parse_args(["memreport"])
+    cfg = _run_config_from_args(args)
+    assert (cfg.mode, cfg.rank, cfg.seed) == (Mode.LORA_FA, 8, 0)
+    assert cfg.model == ModelConfig(d=64, n_layers=2, n_heads=4, vocab=32, seq_len=16, batch_size=16)
+    assert Modifiers(**_override({}, args, Modifiers)) == Modifiers(16, 1, False)
+
+
 def test_memreport_prints_both_models(capsys):
     code, out, _ = run_cli(
         capsys, "memreport", "--mode", "lora-fa", "--rank", "4",
@@ -230,6 +328,18 @@ def test_memreport_bad_sizes_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, "memreport", *argv)
     assert code == EXIT_CONFIG
     assert out == "" and "config error" in err
+
+
+def test_memreport_counts_layers_without_enumerating_them(capsys):
+    huge = str(10**200)
+    code, out, _ = run_cli(capsys, "memreport", "--layers", huge, "--batch-size", "1")
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    # lora-fa at rank 8, s 16: 6 linears keep b s r elements per block, 2 bytes each
+    assert rep["analytic_per_layer_count"]["activation_bytes_linear"] == float(2 * 6 * 16 * 8 * 10**200)
+    code, out, err = run_cli(capsys, "memreport", "--d", huge, "--heads", "1")
+    assert code == EXIT_CONFIG
+    assert out == "" and "float range" in err
 
 
 def test_train_rank_zero_is_config_error(capsys):

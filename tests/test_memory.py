@@ -126,6 +126,27 @@ def test_analytic_report_rejects_sizes_below_one(rank, b, s):
         analytic_report(make_cfg(), Mode.LORA_FA, rank, b, s)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_per_layer_count_sums_the_full_enumeration(mode):
+    cfg = ModelConfig(d=24, n_layers=5, n_heads=2, vocab=9, seq_len=7, batch_size=3, d_ff=40)
+    per_layer = analytic_linear_elements(cfg, mode, 3, 3, 7)
+    assert len(per_layer) == 6 * cfg.n_layers
+    elements = sum(v["full"] + v["low"] for v in per_layer.values())
+    rep = analytic_report(cfg, mode, 3, 3, 7, activation_model="per_layer_count")
+    assert rep.activation_bytes_linear == float(2 * elements)
+
+
+@pytest.mark.parametrize("d", [
+    10**200,      # an integer count beyond the float range
+    2 * 10**153,  # 24 d^2 L weights fit a float, 2 bytes each do not
+])
+def test_totals_beyond_the_float_range_are_parameter_errors(d):
+    cfg = make_cfg(d=d, heads=1)
+    for activation_model in ("paper_constant", "per_layer_count"):
+        with pytest.raises(ParameterError, match="float range"):
+            analytic_report(cfg, Mode.LORA_FA, 1, 1, 1, activation_model=activation_model)
+
+
 # --- ordering and monotonicity ---------------------------------------------------
 
 def test_mode_ordering_of_totals():
@@ -223,6 +244,8 @@ def test_meter_other_elements_closed_form(mode):
     other = L * per_block + bsd + bs + b * s * vocab
     if mode is Mode.FT:
         other += bsd  # the tied head's input, kept to train the embedding
+    else:
+        other -= bsd + bs  # block 0's ln1 stats: nothing below block 0 trains
     assert measured_activation_elements(run_forward(cfg, mode, 2)).other == other
 
 

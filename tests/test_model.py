@@ -149,8 +149,9 @@ def test_full_model_finite_differences(mode):
 # --- live work -----------------------------------------------------------------
 # The reference backward runs the full chain the engine ran before it skipped
 # dead work: every block's input gradient (block 0's query/key/value input
-# gradients and ln1 vjp included) and every layer norm's dgamma/dbeta, then
-# keeps the trainable set. backward must match it bit for bit.
+# gradients included) and every layer norm's dgamma/dbeta, then keeps the
+# trainable set. Only block 0's ln1 vjp is skipped where the tape holds no
+# ln1 stats for it. backward must match it bit for bit.
 
 def _ref_block_backward(model, block, cache, dx, grads, pre):
     nh = model.config.n_heads
@@ -175,6 +176,8 @@ def _ref_block_backward(model, block, cache, dx, grads, pre):
     dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
     dh1 = (linear("attn_q", _merge_heads(dqh)) + linear("attn_k", _merge_heads(dkh))
            + linear("attn_v", _merge_heads(dvh)))
+    if cache.ln1_xhat is None:  # block 0 outside ft: nothing below it trains
+        return None
     dx_in, grads[f"{pre}.ln1.gamma"], grads[f"{pre}.ln1.beta"] = ops.layer_norm_vjp(
         cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1)
     return dx_in + dx_mid
@@ -423,7 +426,7 @@ def tape_arrays(tape) -> dict:
                     out[f"block{i}.{f.name}.x_full"] = value.x_full
                 if value.has_x_low:
                     out[f"block{i}.{f.name}.x_low"] = value.x_low
-            else:
+            elif value is not None:
                 out[f"block{i}.{f.name}"] = value
     for f in fields(tape):
         if isinstance(getattr(tape, f.name), np.ndarray):

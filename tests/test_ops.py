@@ -350,6 +350,21 @@ def test_vjp_matmul_with_identity_upstream():
     assert np.allclose(db, a.T)
 
 
+@pytest.mark.parametrize("call", [
+    # an upstream of the wrong shape, including ones numpy would broadcast
+    # or fold into a gradient of the wrong shape without complaint
+    lambda: ops.softmax_rows_vjp(np.full((4, 5), 0.2), np.ones((4, 6))),
+    lambda: ops.softmax_rows_vjp(np.full((4, 5), 0.2), np.ones((3, 4, 5))),
+    lambda: ops.matmul_vjp(np.ones((2, 3, 4)), np.ones((4, 5)), np.ones((3, 3, 5))),
+    lambda: ops.matmul_vjp(np.ones((2, 3, 4)), np.ones((4, 5)), np.ones((6, 5))),
+    lambda: ops.matmul_vjp(np.ones((2, 3, 4)), np.ones((3, 5)), np.ones((2, 3, 5))),
+    lambda: ops.gelu_vjp(np.ones((3, 4)), np.ones((3, 5))),
+], ids=["softmax-width", "softmax-rank", "matmul-rows", "matmul-folded", "matmul-inner", "gelu"])
+def test_vjps_reject_mismatched_upstream(call):
+    with pytest.raises(DimensionError):
+        call()
+
+
 def test_primitive_gradients_match_finite_differences():
     results = check_primitives(seed=11, trials=6)
     assert results, "no primitives checked"
