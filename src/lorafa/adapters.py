@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, ModeError, ParameterError, RetentionPolicyError
-from .ops import ensure_finite, matmul
+from .ops import matmul
 from .rng import RngState, randn
 
 
@@ -114,8 +114,7 @@ class AdaptedLinear:
 
     y = x @ (W + alpha * A @ B) when an adapter is present, else x @ W.
     Bias terms are omitted. A is d_in x r (projection down), B is r x d_out
-    (projection up); alpha defaults to 1/r and is kept as a Python float, so
-    scaling by it never promotes the layer's dtype.
+    (projection up); alpha defaults to 1/r and is kept as a Python float.
     """
 
     w: np.ndarray
@@ -200,17 +199,17 @@ def _merged(layer: AdaptedLinear, transpose: bool = False) -> np.ndarray:
     """W + alpha * A @ B, or with transpose W^T + alpha * B^T @ A^T.
 
     W itself without an adapter; else a fresh array, bit for bit the plain
-    expression, built in the product's buffer unless W's dtype would promote
-    it. The transpose is built, not viewed, and each view made only when
-    used: numpy allocates a shape block per view, so a W_eff.T view held
-    next to matmul's folding views adds to a lora-fa step's memory peak.
+    expression, built in the product's buffer. The transpose is built, not
+    viewed, and each view made only when used: numpy allocates a shape block
+    per view, so a W_eff.T view held next to matmul's folding views adds to
+    a lora-fa step's memory peak.
     """
     if not layer.mode.has_adapter:
         return layer.w.T if transpose else layer.w
     w_eff = layer.b.T @ layer.a.T if transpose else layer.a @ layer.b
     w_eff *= layer.alpha
-    w = layer.w.T if transpose else layer.w
-    return np.add(w_eff, w, out=w_eff if w_eff.dtype == np.result_type(w_eff, w) else None)
+    w_eff += layer.w.T if transpose else layer.w
+    return w_eff
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -240,10 +239,7 @@ def backward(
         )
     dx = matmul(dy, _merged(layer, transpose=True)) if input_grad else None
     dy2 = _fold(dy)
-    grads = {
-        name: ensure_finite(_GRADIENTS[name](layer, kept, dy2), "adapter backward")
-        for name in layer.mode.trains
-    }
+    grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}
     return dx, grads
 
 
@@ -259,5 +255,5 @@ def merge(layer: AdaptedLinear) -> np.ndarray:
     """Fold the adapter into a dense weight: W + alpha * A @ B. Pure."""
     if not layer.mode.has_adapter:
         raise ModeError(f"merge requires an adapter mode, layer is {layer.mode.value}")
-    return ensure_finite(_merged(layer), "merge")
+    return _merged(layer)
 

@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (LorafaError, OSError, ValueError) as exc:  # ValueError: also bad JSON
+    except (LorafaError, OSError, ValueError, MemoryError) as exc:  # ValueError: also bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

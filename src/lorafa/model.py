@@ -437,7 +437,8 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     return only their adapter gradients and its ln1 vjp is skipped (the
     tape holds no stats for it); layer-norm dgamma/dbeta exist only
     where the mode trains dense tensors; in frozen mode, which trains
-    nothing, the result is {} once the tape is validated.
+    nothing, the result is {} once the tape is validated. A NaN/Inf in a
+    returned gradient is a NumericsError.
     """
     if tape.loss_probs is None:
         raise DataError("tape has no loss; run forward_loss first")
@@ -481,7 +482,7 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     if set(grads) != set(ordered):
         extra = sorted(set(grads) ^ set(ordered))
         raise DataError(f"gradient keys do not match trainable set: {extra}")
-    return {k: grads[k] for k in ordered}
+    return {k: ops.ensure_finite(grads[k], f"gradient {k}") for k in ordered}
 
 
 # --- parameter accounting -------------------------------------------------

@@ -1,24 +1,26 @@
 """Primitive tensor operations and their reverse-mode (vjp) rules.
 
-Values are plain numpy arrays in float64 or float32; every operation
-validates shapes up front and checks its output for NaN/Inf, which is
-treated as an error state rather than a value. Backward rules are paired
-``*_vjp`` functions taking exactly the tensors the forward pass retained;
-the gradient-check harness pairs each with its forward op.
+Values are float64 numpy arrays, as every array lorafa builds is; the
+kernels allocate results and scratch in float64. Every operation validates
+shapes up front. Backward rules are paired ``*_vjp`` functions taking
+exactly the tensors the forward pass retained; the gradient-check harness
+pairs each with its forward op. NaN/Inf is an error state (NumericsError),
+caught where a value crosses the step boundary: ``matmul`` checks every
+product, which each kernel's output reaches before the loss, and ``qr``,
+``qr_pivoted`` and ``numerical_rank`` what LAPACK takes or gives.
 
 No operation writes into its arguments: the tape retains forward inputs
 and outputs for backward. The elementwise kernels (GeLU, layer norm,
 softmax) instead write each intermediate into a buffer they allocated
 themselves, with ``out=``, applying the same operations in the same order
 and association as the plain numpy expression, so results are bit for bit
-the same, dtypes included; a buffer is reused only where its dtype is the
-one numpy promotion gives that intermediate. GeLU and its vjp, whose
-chains of a dozen passes over a multi-MB activation would otherwise
-stream through memory, run over flat blocks of ``BLOCK`` elements sized
-to stay in L2; inputs up to one block take a single pass. Layer norm and
-softmax are not blocked: their row reductions (and the whole-array column
-sums of dgamma/dbeta, whose summation order blocking would change) see
-the whole array, and their arrays are small enough to stay cached.
+the same. GeLU and its vjp, whose chains of a dozen passes over a multi-MB
+activation would otherwise stream through memory, run over flat blocks of
+``BLOCK`` elements sized to stay in L2; inputs up to one block take a
+single pass. Layer norm and softmax are not blocked: their row reductions
+(and the whole-array column sums of dgamma/dbeta, whose summation order
+blocking would change) see the whole array, and their arrays are small
+enough to stay cached.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    out = np.empty(a.shape[:-1] + b.shape[1:], np.result_type(a, b))
+    out = np.empty(a.shape[:-1] + b.shape[1:])
     rows = math.prod(a.shape[:-1])
     np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
     return ensure_finite(out, "matmul")
@@ -88,22 +90,22 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
         raise DimensionError(f"matmul_vjp shapes: {a.shape} x {b.shape}, upstream {upstream.shape}")
     da = matmul(upstream, b.T)
     db = a.reshape(-1, a.shape[-1]).T @ upstream.reshape(-1, upstream.shape[-1])
-    return da, ensure_finite(db, "matmul vjp")
+    return da, db
 
 
-def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:
+def _blockwise(kernel, arrays: tuple, n_scratch: int) -> None:
     """Run ``kernel(*arrays, *scratch)`` over aligned pieces of same-shape arrays.
 
     Up to BLOCK elements that is one call on the whole arrays; above it, one
-    call per flat block of BLOCK elements, all blocks sharing one scratch
-    row per dtype, so a kernel's chain of in-place ufuncs stays in cache.
+    call per flat block of BLOCK elements, all blocks sharing n_scratch
+    scratch rows, so a kernel's chain of in-place ufuncs stays in cache.
     """
     n = arrays[0].size
     if n <= BLOCK:
-        kernel(*arrays, *[np.empty(arrays[0].shape, dt) for dt in scratch_dtypes])
+        kernel(*arrays, *[np.empty(arrays[0].shape) for _ in range(n_scratch)])
         return
     flat = [a.reshape(-1) for a in arrays]
-    scratch = [np.empty(BLOCK, dt) for dt in scratch_dtypes]
+    scratch = [np.empty(BLOCK) for _ in range(n_scratch)]
     for lo in range(0, n, BLOCK):
         k = min(BLOCK, n - lo)
         kernel(*[f[lo : lo + k] for f in flat], *[s[:k] for s in scratch])
@@ -113,7 +115,7 @@ def _blockwise(kernel, arrays: tuple, scratch_dtypes: tuple) -> None:
 # gradient checks the keyword form costs a measurable share of each call.
 
 def _gelu_kernel(x, out, w):
-    # out = 0.5 x (1 + tanh(c (x + a (x^2 x)))); w holds x-dtype temporaries.
+    # out = 0.5 x (1 + tanh(c (x + a (x^2 x)))); w holds the temporaries.
     np.multiply(x, x, w)
     np.multiply(w, x, w)
     np.multiply(w, _GELU_A, w)
@@ -127,7 +129,7 @@ def _gelu_kernel(x, out, w):
 
 def _gelu_vjp_kernel(x, upstream, out, x2, w, t, s):
     # out = (0.5 (1 + t) + (0.5 c) x (1 - t t) (1 + 3a x2)) * upstream,
-    # t = tanh(c (x + a (x2 x))); x2 and w take x's dtype, t and s out's.
+    # t = tanh(c (x + a (x2 x))); x2, w, t and s are scratch.
     np.multiply(x, x, x2)
     np.multiply(x2, x, w)
     np.multiply(w, _GELU_A, w)
@@ -147,37 +149,30 @@ def _gelu_vjp_kernel(x, upstream, out, x2, w, t, s):
     np.multiply(out, upstream, out)
 
 
-def _gelu_result_dtype(x: np.ndarray):
-    """The plain expression's result dtype: x + a x^3 stays in x's dtype, and
-    the float64 constant c promotes everything computed after it."""
-    return np.promote_types(_GELU_C.dtype, x.dtype)
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """GeLU, tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    out = np.empty(x.shape, _gelu_result_dtype(x))
-    _blockwise(_gelu_kernel, (x, out), (x.dtype,))
-    return ensure_finite(out, "gelu")
+    out = np.empty(x.shape)
+    _blockwise(_gelu_kernel, (x, out), 1)
+    return out
 
 
 def gelu_vjp(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     # d/dx [0.5 x (1+t)] = 0.5 (1+t) + 0.5 x (1-t^2) * c (1 + 3a x^2)
-    out_dt = _gelu_result_dtype(x)
-    out = np.empty(x.shape, out_dt)
+    out = np.empty(x.shape)
     if np.shape(upstream) != x.shape:
         try:
             upstream = np.broadcast_to(upstream, x.shape)
         except ValueError:
             raise DimensionError(f"gelu_vjp upstream {np.shape(upstream)} vs x {x.shape}") from None
-    _blockwise(_gelu_vjp_kernel, (x, upstream, out), (x.dtype, x.dtype, out_dt, out_dt))
-    return ensure_finite(out, "gelu vjp")
+    _blockwise(_gelu_vjp_kernel, (x, upstream, out), 4)
+    return out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last dimension, max-subtracted for stability.
 
     -Inf entries are permitted in the input (attention masking) as long as
-    each row keeps at least one finite entry; the output is always finite.
+    each row keeps at least one finite entry.
     """
     if x.shape[-1] < 1:
         raise DimensionError("softmax_rows needs a non-empty last dimension")
@@ -185,7 +180,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.subtract(x, m)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
-    return ensure_finite(e, "softmax_rows")
+    return e
 
 
 def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -195,7 +190,7 @@ def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     dot = np.sum(t, axis=-1, keepdims=True)
     np.subtract(upstream, dot, out=t)
     t *= probs
-    return ensure_finite(t, "softmax_rows vjp")
+    return t
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -216,11 +211,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     var = np.mean(sq, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat *= inv_std
-    # y = gamma * x_hat + beta lands in sq's buffer unless a dtype promotes.
-    out = sq if gamma.dtype == beta.dtype == sq.dtype else None
-    y = np.multiply(gamma, x_hat, out=out)
-    y = np.add(y, beta, out=out)
-    return ensure_finite(y, "layer_norm"), x_hat, inv_std
+    # y = gamma * x_hat + beta, built in sq's buffer.
+    y = np.multiply(gamma, x_hat, out=sq)
+    y += beta
+    return y, x_hat, inv_std
 
 
 def layer_norm_vjp(
@@ -244,22 +238,20 @@ def layer_norm_vjp(
             f"layer_norm_vjp shapes differ: x_hat {x_hat.shape}, inv_std {inv_std.shape}, "
             f"gamma {gamma.shape}, upstream {upstream.shape}"
         )
-    same_dtype = upstream.dtype == gamma.dtype == x_hat.dtype == inv_std.dtype
     dxhat = np.multiply(upstream, gamma)
     mean_dxhat = np.mean(dxhat, axis=-1, keepdims=True)
     # dx = inv_std * ((dxhat - mean(dxhat)) - x_hat * mean(dxhat * x_hat)), built
-    # in the buffer of dxhat * x_hat, whose dtype no later operand but inv_std
-    # can promote.
+    # in the buffer of dxhat * x_hat.
     dx = np.multiply(dxhat, x_hat)
     mean_dxhat_xhat = np.mean(dx, axis=-1, keepdims=True)
     np.multiply(x_hat, mean_dxhat_xhat, out=dx)
     dxhat -= mean_dxhat
     np.subtract(dxhat, dx, out=dx)
-    dx = ensure_finite(np.multiply(inv_std, dx, out=dx if same_dtype else None), "layer_norm vjp")
+    np.multiply(inv_std, dx, out=dx)
     if not param_grads:
         return dx, None, None
     axes = tuple(range(x_hat.ndim - 1))
-    dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat if same_dtype else None), axis=axes)
+    dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat), axis=axes)
     dbeta = np.sum(upstream, axis=axes)
     return dx, dgamma, dbeta
 
@@ -328,10 +320,11 @@ def qr_pivoted(m: np.ndarray):
 
 
 def numerical_rank(m: np.ndarray) -> int:
-    """Count singular values above RANK_REL_TOL * ||m||_F (LAPACK, values only)."""
+    """Count singular values above RANK_REL_TOL * ||m||_F (LAPACK, values only);
+    a norm that is not finite (NaN/Inf or overflow) is a NumericsError."""
     if m.ndim != 2:
         raise DimensionError("numerical_rank expects a matrix")
-    scale_f = np.linalg.norm(ensure_finite(m, "numerical_rank"))
+    scale_f = ensure_finite(np.linalg.norm(m), "numerical_rank's Frobenius norm")
     if scale_f == 0.0:
         return 0
     return int(np.sum(np.linalg.svd(m, compute_uv=False) > RANK_REL_TOL * scale_f))

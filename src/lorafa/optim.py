@@ -96,10 +96,8 @@ def adamw_step(params: Params, grads: Params, state: AdamWState, cfg: AdamWConfi
         # p -= eta * (m / bc1) / (sqrt(v / bc2) + eps), with every temporary in
         # one of two scratch rows allocated once per parameter. The operations
         # and their order are the plain expression's, so the update is
-        # bit-identical; a dtype that would promote falls back to allocating.
-        num_buf = den_buf = None
-        if p.dtype == g.dtype == m.dtype == v.dtype:
-            num_buf, den_buf = np.empty((2,) + p.shape, p.dtype)
+        # bit-identical.
+        num_buf, den_buf = np.empty((2,) + p.shape)
         if cfg.weight_decay != 0.0:
             p -= np.multiply(cfg.eta * cfg.weight_decay, p, out=num_buf)
         m *= cfg.beta1

@@ -4,6 +4,7 @@ compact separators, so a parse and re-write gives the same bytes."""
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
@@ -70,6 +71,15 @@ class RunConfig:
             raise ParameterError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
         # Met here so that a sweep cell cannot fail on it after training began.
         check_rank(self.model, self.mode, self.rank)
+        # Token embedding, ffn weight, widest activation and attention scores:
+        # the largest array a run builds must be within numpy's index range.
+        m, b, s = self.model, self.model.batch_size, self.model.seq_len
+        largest = max(m.vocab * m.d, m.d * m.d_ff, b * s * max(m.vocab, m.d, m.d_ff),
+                      b * m.n_heads * s * s)
+        if largest > np.iinfo(np.intp).max:
+            size = (f"{float(largest):.3g} elements" if largest <= sys.float_info.max
+                    else "a count beyond the float range")
+            raise ParameterError(f"the largest array needs {size}, more than numpy can index")
         if self.steps < 0:
             raise ParameterError("steps must be >= 0")
         if not self.lr > 0:
@@ -223,11 +233,11 @@ def train_run(cfg: RunConfig) -> RunReport:
                 optim.adamw_step(params, grads, opt_state, opt_cfg)
             else:
                 optim.sgd_step(params, grads, optim.SGDConfig(eta=lr_at(step)))
+            if merged_0 is not None and (step + 1) % cfg.equiv_every == 0:
+                equivalence.append(_equiv_snapshot(model, merged_0, step + 1))
         except NumericsError:
             status = "diverged"
             break
-        if merged_0 is not None and (step + 1) % cfg.equiv_every == 0:
-            equivalence.append(_equiv_snapshot(model, merged_0, step + 1))
 
     if cfg.steps == 0:
         # measure the untouched model once so the report is still complete

@@ -342,6 +342,30 @@ def test_memreport_counts_layers_without_enumerating_them(capsys):
     assert out == "" and "float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--d", str(10**200), "--heads", "1"],  # once a TypeError from np.sqrt(d)
+    ["--vocab", str(2**62)],
+    ["--seq-len", str(2**31), "--batch-size", "4"],
+])
+def test_train_geometry_beyond_numpy_arrays_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, "train", "--steps", "0", *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("config error:") and err.count("\n") == 1
+    assert "largest array" in err
+
+
+def test_train_out_of_memory_is_config_error(capsys, monkeypatch):
+    # A geometry within numpy's index range can still exceed memory; build
+    # it only in a stub, never for real.
+    def build_model(*args, **kw):
+        raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+    monkeypatch.setattr("lorafa.train.build_model", build_model)
+    code, out, err = run_cli(capsys, "train", "--steps", "0", "--d", "16", "--heads", "2")
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "config error: Unable to allocate 23.8 GiB for an array\n"
+
+
 def test_train_rank_zero_is_config_error(capsys):
     code, _, err = run_cli(capsys, "train", "--steps", "1", "--rank", "0")
     assert code == EXIT_CONFIG

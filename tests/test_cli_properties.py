@@ -4,14 +4,16 @@ and a `train` or `sweep` command line builds a RunConfig, raises a
 LorafaError (exit 2 in main) or is an argparse usage error (exit 2).
 
 --config (which opens a file) and --probe (which builds and runs a model of
-the given geometry) are left out, and neither property trains a model."""
+the given geometry) are left out, and neither property trains a model.
+`main` runs a drawn `train` command line only when its geometry is beyond
+numpy's largest array, which RunConfig rejects before any array exists."""
 
 import argparse
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorafa.cli import EXIT_CONFIG, EXIT_OK, _run_config_from_args, build_parser, main
@@ -82,6 +84,7 @@ def test_memreport_prints_json_or_exits_2(argv):
 
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(st.sampled_from(["train", "sweep"]).flatmap(argvs))
+@example(["train", "--d", str(10**200), "--heads", "1"])
 def test_run_argv_builds_a_config_or_fails_typed(argv):
     with contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -91,6 +94,18 @@ def test_run_argv_builds_a_config_or_fails_typed(argv):
             return
     try:
         cfg = _run_config_from_args(args)
-    except LorafaError:
+    except LorafaError as exc:
+        if argv[0] == "train" and "largest array" in str(exc):
+            _assert_train_exits_2(argv)
         return
     assert isinstance(cfg, RunConfig)
+
+
+def _assert_train_exits_2(argv):
+    """main on a train argv whose geometry no array can hold: one line, exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["train", "--steps", "0", *argv[1:]])
+    assert code == EXIT_CONFIG, argv
+    assert out.getvalue() == "", argv
+    assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1, argv

@@ -9,7 +9,7 @@ from lorafa.equivalence import (
     subspace_check,
     verify_sgd_equivalence,
 )
-from lorafa.errors import DimensionError, ModeError, ParameterError
+from lorafa.errors import DimensionError, ModeError, NumericsError, ParameterError
 from lorafa.ops import numerical_rank
 from lorafa.rng import RngState, randn
 
@@ -115,6 +115,15 @@ def test_subspace_residual_inside_column_space():
     rep = subspace_check(a, delta)
     assert rep.residual < 1e-12
     assert rep.numerical_rank <= 4
+
+
+def test_subspace_check_of_an_overflowing_delta_raises():
+    # delta lies in col(A), but its norm overflows: no residual or rank can be
+    # read, and the check must not report residual 0 and rank 0 as it did
+    rng = RngState(11)
+    a = randn((12, 4), rng)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        subspace_check(a, a @ (1e160 * randn((4, 6), rng)))
 
 
 def test_subspace_residual_outside_column_space():

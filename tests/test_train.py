@@ -88,6 +88,20 @@ def test_divergence_is_recorded_not_raised():
     assert rep.final_loss is None
 
 
+def test_overflowing_snapshot_is_divergence_not_a_pass():
+    # sgd at lr 1e300 leaves a finite step-1 loss and gradients, but the
+    # merged-weight change's norm overflows in the step-1 snapshot: the run is
+    # diverged there, with no snapshot that reads rank 0 and passes
+    model = ModelConfig(d=16, n_layers=1, n_heads=2, vocab=16, seq_len=8, batch_size=4)
+    cfg = small_cfg(model=model, optimizer="sgd", lr=1e300, steps=3, equiv_every=1,
+                    rank=4, n_examples=256)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = train_run(cfg)
+    assert rep.status == "diverged"
+    assert len(rep.loss_curve) == 1
+    assert rep.equivalence == []
+
+
 def test_equivalence_snapshots_recorded():
     rep = train_run(small_cfg(steps=6, equiv_every=3))
     assert [e["step"] for e in rep.equivalence] == [3, 6]
