@@ -1,12 +1,13 @@
 """Central finite-difference gradient checking.
 
 The oracle is intentionally independent of the analytic backward rules: it
-perturbs one input coordinate at a time with step 6e-6 * max(1, |x|) and
-compares the directional derivative of a scalar probe against the vjp.
+perturbs one coordinate at a time with step 6e-6 * max(1, |x|) and
+compares the derivative of a scalar loss against the analytic gradient.
 6e-6 is about cbrt(eps), which balances the central difference's O(h^2)
 truncation error against its O(eps / h) rounding error; at 1e-6 rounding
-put layer_norm over 1e-5 on some seeds. All checks run in float64; they
-are not meaningful in float32.
+put layer_norm over 1e-5 on some seeds. Each check perturbs the tensor it
+checks in place (an op input, a layer's W, A or B, a model parameter), and
+the loss reads it from there.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ops
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .rng import RngState, randint, randn
 
 FD_STEP = 6e-6
@@ -30,19 +31,27 @@ ADAPTER_PASS_REL_ERROR = 1e-5
 MODEL_PASS_REL_ERROR = 1e-4
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, coordinate by coordinate."""
-    g = np.zeros_like(x, dtype=np.float64)
+def fd_gradient(loss: Callable[[], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of loss() in x, coordinate by coordinate.
+
+    loss reads x where it lives (the model or the op inputs). x is perturbed
+    in place, and each coordinate is put back even when loss raises.
+    """
+    if not x.flags.c_contiguous:
+        raise DimensionError(f"fd_gradient needs a C-contiguous tensor, got strides {x.strides}")
+    g = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
-        h = FD_STEP * max(1.0, abs(flat[i]))
         orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
+        h = FD_STEP * max(1.0, abs(orig))
+        try:
+            flat[i] = orig + h
+            fp = loss()
+            flat[i] = orig - h
+            fm = loss()
+        finally:
+            flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return g
 
@@ -51,6 +60,11 @@ def rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     """Max elementwise relative error with an absolute floor on the denominator."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_FLOOR)
     return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def _worst_error(loss: Callable[[], float], tensors, grads) -> float:
+    """Worst rel_error of each analytic gradient against FD of loss in its tensor."""
+    return max(rel_error(g, fd_gradient(loss, t)) for t, g in zip(tensors, grads))
 
 
 @dataclass
@@ -66,21 +80,12 @@ class OpCheck:
 
 def _check_one(case: OpCheck, rng: RngState) -> float:
     inputs = case.sample(rng)
-    out = case.forward(*inputs)
-    upstream = randn(out.shape, rng)
+    upstream = randn(case.forward(*inputs).shape, rng)
     grads = case.vjp(*inputs, upstream)
     if isinstance(grads, np.ndarray):
         grads = (grads,)
-    worst = 0.0
-    for idx in range(case.n_diff):
-        def probe(x, _idx=idx):
-            args = list(inputs)
-            args[_idx] = x
-            return float(np.sum(case.forward(*args) * upstream))
-
-        fd = fd_gradient(probe, np.array(inputs[idx], dtype=np.float64, copy=True))
-        worst = max(worst, rel_error(np.asarray(grads[idx], dtype=np.float64), fd))
-    return worst
+    return _worst_error(lambda: float(np.sum(case.forward(*inputs) * upstream)),
+                        inputs[:case.n_diff], grads)
 
 
 def primitive_checks() -> list[OpCheck]:
@@ -156,24 +161,14 @@ def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
             layer.b[:] = randn(layer.b.shape, rng)
         x = randn((2, 3, d_in), rng)
 
-        def loss_of(layer_):
-            y, _ = adapters.forward(layer_, x)
+        def loss():
+            y, _ = adapters.forward(layer, x)
             return 0.5 * float(np.sum(y * y))
 
         y, kept = adapters.forward(layer, x)
         _, grads = adapters.backward(layer, kept, y.copy())
-        tensors = {"w": layer.w, "a": layer.a, "b": layer.b}
-        for name, analytic in grads.items():
-            def probe(t, _name=name):
-                saved = tensors[_name].copy()
-                tensors[_name][...] = t
-                try:
-                    return loss_of(layer)
-                finally:
-                    tensors[_name][...] = saved
-
-            fd = fd_gradient(probe, tensors[name].copy())
-            worst = max(worst, rel_error(analytic, fd))
+        tensors = [getattr(layer, t) for t in grads]
+        worst = max(worst, _worst_error(loss, tensors, grads.values()))
     return worst
 
 
@@ -191,25 +186,13 @@ def check_tiny_model(mode, seed: int = 0, d: int = 8, n_layers: int = 1, vocab: 
     tokens = randint(data_rng, 0, vocab, (2, 6))
     targets = randint(data_rng, 0, vocab, (2, 6))
     targets[0, 0] = -1  # exercise the ignore mask
-    params = trainable_params(m)
     if mode.has_adapter:
         # B starts at zero, which zeroes dA in lora mode; perturb so every
         # gradient path carries signal.
-        for name, p in params.items():
-            if name.endswith(".b"):
-                p[:] = 0.1 * randn(p.shape, data_rng)
+        for _, layer in m.adapted_layers():
+            layer.b[:] = 0.1 * randn(layer.b.shape, data_rng)
     _, tape = forward_loss(m, tokens, targets)
     grads = backward(m, tape)
-    worst = 0.0
-    for name, p in params.items():
-        def probe(t, _p=p):
-            saved = _p.copy()
-            _p[...] = t
-            try:
-                return forward_loss(m, tokens, targets)[0]
-            finally:
-                _p[...] = saved
-
-        fd = fd_gradient(probe, p.copy())
-        worst = max(worst, rel_error(grads[name], fd))
-    return worst
+    params = trainable_params(m)
+    return _worst_error(lambda: forward_loss(m, tokens, targets)[0],
+                        params.values(), (grads[k] for k in params))

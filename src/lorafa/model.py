@@ -525,7 +525,7 @@ def count_trainable(model: TransformerModel) -> TrainableCount:
     """
     params = trainable_params(model)
     linear = sum(
-        p.size for key, p in params.items() if key.rpartition(".")[2] in model.mode.trains
+        getattr(layer, t).size for _, layer in model.adapted_layers() for t in model.mode.trains
     )
     return TrainableCount(linear_only=linear, full=sum(p.size for p in params.values()))
 

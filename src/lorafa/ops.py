@@ -47,11 +47,11 @@ LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 
 
 def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
-    # The sum is NaN/Inf-propagating and cheaper than isfinite().all(); float64
-    # headroom makes spurious overflow of the sum itself a non-issue here.
+    # The sum is NaN/Inf-propagating and cheaper than isfinite().all(), which
+    # decides only when the sum is not finite: finite values can overflow it.
     # np.add.reduce is np.sum without its Python-level dispatch, which costs
     # more than the reduction on the tiny arrays of the gradient checks.
-    if not np.isfinite(np.add.reduce(x, axis=None)):
+    if not np.isfinite(np.add.reduce(x, axis=None)) and not np.isfinite(x).all():
         raise NumericsError(f"{what} contains NaN or Inf")
     return x
 

@@ -23,6 +23,7 @@ OPTIMIZERS = ("adamw", "sgd")  # the update rules a run config can name
 @dataclass
 class SGDConfig:
     eta: float
+    weight_decay: float = 0.0
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -65,9 +66,11 @@ def _check_match(params: Params, grads: Params) -> None:
 
 
 def sgd_step(params: Params, grads: Params, cfg: SGDConfig) -> Params:
-    """p <- p - eta * g, in place, trainable set only."""
+    """p <- p - eta * wd * p (adamw_step's decoupled decay), then p <- p - eta * g, in place."""
     _check_match(params, grads)
     for k, p in params.items():
+        if cfg.weight_decay != 0.0:
+            p -= cfg.eta * cfg.weight_decay * p
         p -= cfg.eta * grads[k]
     return params
 

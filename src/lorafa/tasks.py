@@ -45,15 +45,20 @@ class Dataset:
         return self.tokens[idx], self.targets[idx]
 
 
-def gen_task(kind: str, vocab: int, seq_len: int, n_examples: int, seed: int) -> Dataset:
+def check_task(kind: str, vocab: int, seq_len: int, n_examples: int) -> None:
+    """ParameterError unless gen_task can build this task; RunConfig checks it too."""
     if kind not in TASK_KINDS:
-        raise ParameterError(f"unknown task {kind!r}, expected one of {TASK_KINDS}")
+        raise ParameterError(f"task must be one of {TASK_KINDS}, got {kind!r}")
     if vocab < 4:
         raise ParameterError(f"vocab must be >= 4 ({NUM_RESERVED} reserved tokens), got {vocab}")
     if seq_len < 4:
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
     if n_examples < 1:
         raise ParameterError("n_examples must be >= 1")
+
+
+def gen_task(kind: str, vocab: int, seq_len: int, n_examples: int, seed: int) -> Dataset:
+    check_task(kind, vocab, seq_len, n_examples)
     rng = derive(RngState(seed), f"task:{kind}")
     if kind == "char-lm":
         return _gen_char_lm(vocab, seq_len, n_examples, rng)

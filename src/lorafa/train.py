@@ -28,7 +28,7 @@ from .model import (
     trainable_params,
 )
 from .rng import RngState, derive
-from .tasks import TASK_KINDS, Dataset, gen_task
+from .tasks import Dataset, check_task, gen_task
 
 SCHEMA_VERSION = 1
 
@@ -67,9 +67,8 @@ class RunConfig:
             raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ParameterError(f"optimizer must be in {optim.OPTIMIZERS}, got {self.optimizer!r}")
-        if self.task not in TASK_KINDS:
-            raise ParameterError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
-        # Met here so that a sweep cell cannot fail on it after training began.
+        # Met here so that a sweep cell cannot fail on them after training began.
+        check_task(self.task, self.model.vocab, self.model.seq_len, self.n_examples)
         check_rank(self.model, self.mode, self.rank)
         # Token embedding, ffn weight, widest activation and attention scores:
         # the largest array a run builds must be within numpy's index range.
@@ -232,7 +231,8 @@ def train_run(cfg: RunConfig) -> RunReport:
                 opt_cfg = optim.AdamWConfig(eta=lr_at(step), weight_decay=cfg.weight_decay)
                 optim.adamw_step(params, grads, opt_state, opt_cfg)
             else:
-                optim.sgd_step(params, grads, optim.SGDConfig(eta=lr_at(step)))
+                opt_cfg = optim.SGDConfig(eta=lr_at(step), weight_decay=cfg.weight_decay)
+                optim.sgd_step(params, grads, opt_cfg)
             if merged_0 is not None and (step + 1) % cfg.equiv_every == 0:
                 equivalence.append(_equiv_snapshot(model, merged_0, step + 1))
         except NumericsError:

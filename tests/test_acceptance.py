@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from lorafa.adapters import Mode, init_adapter
 from lorafa.equivalence import estimate_unbiasedness, verify_sgd_equivalence
 from lorafa.gradcheck import check_adapter_layer, check_primitives, check_tiny_model
@@ -238,6 +239,7 @@ def _best_of_grid(task: str, mode: Mode):
     return best
 
 
+@pytest.mark.slow
 def test_criterion_09_convergence_parity():
     t0 = time.time()
     target = 0.1 * math.log(PARITY_MODEL.vocab)

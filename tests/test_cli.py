@@ -149,6 +149,23 @@ def test_sweep_bad_axis_value_is_config_error(capsys, ranks, lrs, named):
     assert named in err
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--vocab", "3", "vocab must be >= 4"),
+    ("--seq-len", "3", "seq_len must be >= 4"),
+    ("--n-examples", "0", "n_examples must be >= 1"),
+])
+def test_sweep_below_a_task_limit_is_config_error(capsys, flag, value, named):
+    # the flag's last occurrence wins
+    code, out, err = run_cli(
+        capsys, "sweep", "--ranks", "1,2", "--lrs", "0.01", "--steps", "1", "--d", "16",
+        "--layers", "1", "--heads", "2", "--vocab", "12", "--seq-len", "8",
+        "--batch-size", "4", "--n-examples", "8", flag, value,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert named in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--ranks", "8", "--lrs", "0.01", "--steps", "1"],
     ["train", "--rank", "8", "--steps", "1"],

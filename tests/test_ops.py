@@ -3,7 +3,7 @@ import pytest
 
 from lorafa import ops
 from lorafa.errors import DimensionError, NumericsError, ParameterError
-from lorafa.gradcheck import check_primitives
+from lorafa.gradcheck import check_primitives, fd_gradient
 from lorafa.rng import RngState, randn
 
 
@@ -57,6 +57,17 @@ def test_matmul_nan_rejected():
     bad = np.array([[np.nan, 1.0]])
     with pytest.raises(NumericsError):
         ops.matmul(bad, np.ones((2, 2)))
+
+
+def test_ensure_finite_passes_finite_values_whose_sum_overflows():
+    big = np.full(10, 1e308)
+    with np.errstate(over="ignore"):
+        assert ops.ensure_finite(big) is big
+    for bad in (np.nan, np.inf, -np.inf):
+        x = big.copy()
+        x[3] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            ops.ensure_finite(x)
 
 
 # --- elementwise ----------------------------------------------------------
@@ -373,6 +384,38 @@ def test_primitive_gradients_match_finite_differences():
     assert results, "no primitives checked"
     for name, err in results.items():
         assert err < 1e-5, f"{name}: {err}"
+
+
+def test_fd_gradient_of_a_quadratic_is_its_analytic_gradient():
+    # loss = 0.5 x^T Q x reads x from where it lives; its gradient is Q x.
+    q = randn((4, 4), RngState(3))
+    q = q @ q.T
+    x = randn((2, 2), RngState(4))
+    g = fd_gradient(lambda: 0.5 * float(x.reshape(-1) @ q @ x.reshape(-1)), x)
+    assert np.allclose(g.reshape(-1), q @ x.reshape(-1), rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fd_gradient_restores_x_when_the_loss_raises(k):
+    x = randn((2, 3), RngState(5))
+    before = x.tobytes()
+    calls = []
+
+    def loss():
+        calls.append(1)
+        if len(calls) == k:
+            raise NumericsError("loss raised")
+        return float(np.sum(x * x))
+
+    with pytest.raises(NumericsError, match="loss raised"):
+        fd_gradient(loss, x)
+    assert x.tobytes() == before
+
+
+def test_fd_gradient_rejects_a_non_contiguous_tensor():
+    x = randn((2, 3), RngState(6)).T  # reshape(-1) of a transpose is a copy
+    with pytest.raises(DimensionError, match="C-contiguous"):
+        fd_gradient(lambda: float(np.sum(x)), x)
 
 
 def test_primitive_gradients_reject_zero_trials():

@@ -28,6 +28,21 @@ def test_sgd_updates_in_place():
     assert arr[0] == 0.0  # same storage mutated
 
 
+def test_sgd_weight_decay_is_decoupled_like_adamw():
+    p0 = randn((3, 4), RngState(1))
+    g = randn((3, 4), RngState(2))
+    eta, wd = 0.1, 0.5
+    expected = p0.copy()
+    expected -= eta * wd * expected
+    expected -= eta * g
+    decayed, plain = {"x": p0.copy()}, {"x": p0.copy()}
+    sgd_step(decayed, {"x": g}, SGDConfig(eta=eta, weight_decay=wd))
+    sgd_step(plain, {"x": g}, SGDConfig(eta=eta))
+    assert decayed["x"].tobytes() == expected.tobytes()
+    assert not np.array_equal(decayed["x"], plain["x"])
+    assert plain["x"].tobytes() == (p0 - eta * g).tobytes()
+
+
 def test_sgd_shape_mismatch():
     with pytest.raises(DimensionError):
         sgd_step({"x": np.ones(2)}, {"x": np.ones(3)}, SGDConfig(eta=0.1))

@@ -211,6 +211,9 @@ def test_config_allows_any_rank_without_an_adapter(mode):
     ({"alpha": -1}, "alpha must be positive"),
     ({"task": "sort"}, "task must be one of"),
     ({"task": None}, "task must be one of"),
+    ({"model": ModelConfig(d=16, n_layers=1, n_heads=2, vocab=3, seq_len=8)}, "vocab must be >= 4"),
+    ({"model": ModelConfig(d=16, n_layers=1, n_heads=2, vocab=12, seq_len=3)}, "seq_len must be >= 4"),
+    ({"n_examples": 0}, "n_examples must be >= 1"),
 ])
 def test_config_rejects_values_a_run_would_fail_on(kw, named):
     with pytest.raises(ParameterError, match=named):
