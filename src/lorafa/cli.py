@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 from . import equivalence, gradcheck, memory, optim, tasks
 from .adapters import Mode, init_adapter
 from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
-from .model import ModelConfig, build_model, forward_loss
+from .model import ModelConfig, backward, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
 from .train import RunConfig, dumps_canonical, sweep, train_run
 
@@ -132,9 +133,18 @@ def cmd_memreport(args: argparse.Namespace) -> int:
         rng = derive(RngState(cfg.seed), "memreport-probe")
         tokens = randint(rng, 0, config.vocab, (b, s))
         targets = randint(rng, 0, config.vocab, (b, s))
-        _, tape = forward_loss(m, tokens, targets)
+        tracemalloc.start()  # this process's allocations during one forward + backward
+        try:
+            _, tape = forward_loss(m, tokens, targets)
+            backward(m, tape)
+            out["step_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         measured = memory.measured_activation_elements(tape)
         out["measured"] = measured.to_dict()
+        out["retained_bytes"] = (
+            measured.linear_full + measured.linear_low + measured.other
+        ) * m.tok_emb.dtype.itemsize
         out["reconciliation"] = memory.reconcile(config, mode, rank, measured, b, s)
     print(dumps_canonical(out))
     return EXIT_OK

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DimensionError, ModeError, ParameterError
+from .errors import DimensionError, ModeError, NumericsError, ParameterError
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -115,6 +115,8 @@ def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
     q, _ = ops.qr(a)
     coeff = q.T @ delta_w
     norm = float(np.linalg.norm(delta_w))
+    if not np.isfinite(norm):  # NaN/Inf in delta_w, or a sum of squares past the float range
+        raise NumericsError(f"subspace_check: ||delta_w|| is {norm}")
     if norm == 0.0:
         residual = 0.0
     else:

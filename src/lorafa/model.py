@@ -4,7 +4,10 @@ Backprop here is a fixed tape over the known block structure, not a
 general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
 mode's retention policy. The memory meter counts the same tape, filing all
-else (attention, GeLU, layernorm, loss softmax) under "other".
+else (attention, GeLU, layernorm, loss softmax) under "other". Liveness
+rule: forward and backward drop every temporary the tape does not hold
+right after its last read, so a step's peak is the tape plus a few
+temporaries (Chen et al., arXiv 1604.06174, section 3).
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -269,6 +272,7 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     q, kept_q = adapters.forward(block.attn_q, h)
     k, kept_k = adapters.forward(block.attn_k, h)
     v, kept_v = adapters.forward(block.attn_v, h)
+    del h
 
     qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
     scores = qh @ np.swapaxes(kh, -1, -2)
@@ -277,17 +281,17 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     future = np.triu(np.ones((s_len, s_len), dtype=bool), 1)
     np.copyto(scores, -np.inf, where=future)
     probs = ops.softmax_rows(scores)
+    del scores
 
-    ctx = _merge_heads(probs @ vh)
-    attn_out, kept_o = adapters.forward(block.attn_o, ctx)
+    attn_out, kept_o = adapters.forward(block.attn_o, _merge_heads(probs @ vh))
     # Residual adds land in the branch output's buffer, which nothing retains.
     attn_out += x
     x = attn_out
 
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     f1, kept_f1 = adapters.forward(block.ffn1, h2)
-    g = ops.gelu(f1)
-    f2, kept_f2 = adapters.forward(block.ffn2, g)
+    del h2
+    f2, kept_f2 = adapters.forward(block.ffn2, ops.gelu(f1))
     f2 += x
     x = f2
 
@@ -368,64 +372,65 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
 
 # --- backward -----------------------------------------------------------
 
+def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads, pre: str,
+                     input_grad: bool = True):
+    """One adapted linear's backward: stores its parameter gradients, returns its dx."""
+    dx, layer_grads = adapters.backward(getattr(block, name), getattr(cache, name), dy, input_grad)
+    for tensor, g in layer_grads.items():
+        grads[f"{pre}.{name}.{tensor}"] = g
+    return dx
+
+
+def _layer_norm_backward(model, dx, x_hat, inv, gamma, dy, grads, key: str) -> None:
+    """Adds a block layer norm's input gradient into the stream gradient dx in place."""
+    dense = model.mode.trains_dense
+    dx_ln, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense)
+    dx += dx_ln
+    if dense:
+        grads[f"{key}.gamma"] = dg
+        grads[f"{key}.beta"] = db
+
+
 def _block_backward(
     model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str, input_grad: bool
 ):
-    """Backward through one block; the block's input gradient only if input_grad."""
+    """Backward through one block; the block's input gradient (accumulated into
+    dx in place) only if input_grad. Each temporary dies after its last read."""
     nh = model.config.n_heads
-    dh = model.config.d // nh
-    dense = model.mode.trains_dense
 
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid))))
-    dupstream, g_f2 = adapters.backward(block.ffn2, cache.ffn2, dx)
-    _store(grads, f"{pre}.ffn2", g_f2)
-    df1 = ops.gelu_vjp(cache.gelu_in, dupstream)
-    dh2, g_f1 = adapters.backward(block.ffn1, cache.ffn1, df1)
-    _store(grads, f"{pre}.ffn1", g_f1)
-    dx_mid, dg2, db2 = ops.layer_norm_vjp(
-        cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2, param_grads=dense
-    )
-    dx_mid += dx
-    if dense:
-        grads[f"{pre}.ln2.gamma"] = dg2
-        grads[f"{pre}.ln2.beta"] = db2
+    df1 = ops.gelu_vjp(cache.gelu_in, _linear_backward(block, cache, "ffn2", dx, grads, pre))
+    dh2 = _linear_backward(block, cache, "ffn1", df1, grads, pre)
+    del df1
+    _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2, grads,
+                         f"{pre}.ln2")
+    del dh2
 
     # x_mid = x_in + attn_o(attention(q, k, v))
-    dctx, g_o = adapters.backward(block.attn_o, cache.attn_o, dx_mid)
-    _store(grads, f"{pre}.attn_o", g_o)
-    dctx_h = _split_heads(dctx, nh)
+    dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads, pre), nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
-    dvh = np.swapaxes(cache.probs, -1, -2) @ dctx_h
+    dv = _merge_heads(np.swapaxes(cache.probs, -1, -2) @ dctx_h)
+    del dctx_h
     dscores = ops.softmax_rows_vjp(cache.probs, dprobs)
-    dscores /= np.sqrt(dh)
-    dqh = dscores @ cache.kh
-    dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
-    dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-    dh1_q, g_q = adapters.backward(block.attn_q, cache.attn_q, dq, input_grad)
-    dh1_k, g_k = adapters.backward(block.attn_k, cache.attn_k, dk, input_grad)
-    dh1_v, g_v = adapters.backward(block.attn_v, cache.attn_v, dv, input_grad)
-    _store(grads, f"{pre}.attn_q", g_q)
-    _store(grads, f"{pre}.attn_k", g_k)
-    _store(grads, f"{pre}.attn_v", g_v)
+    del dprobs
+    dscores /= np.sqrt(model.config.d // nh)
+    dq = _merge_heads(dscores @ cache.kh)
+    dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ cache.qh)
+    del dscores
+    dh1 = _linear_backward(block, cache, "attn_q", dq, grads, pre, input_grad)
+    del dq
+    dh1_k = _linear_backward(block, cache, "attn_k", dk, grads, pre, input_grad)
+    del dk
+    dh1_v = _linear_backward(block, cache, "attn_v", dv, grads, pre, input_grad)
+    del dv
     if not input_grad:
         return None
-    dh1_q += dh1_k
-    dh1_q += dh1_v
-    # Free the attention gradients before ln1's vjp, where a step's memory peaks.
-    del dctx, dctx_h, dprobs, dvh, dscores, dqh, dkh, dq, dk, dv, dh1_k, dh1_v
-    dx_in, dg1, db1 = ops.layer_norm_vjp(
-        cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1_q, param_grads=dense
-    )
-    dx_in += dx_mid
-    if dense:
-        grads[f"{pre}.ln1.gamma"] = dg1
-        grads[f"{pre}.ln1.beta"] = db1
-    return dx_in
-
-
-def _store(grads: dict, prefix: str, layer_grads: dict) -> None:
-    for name, g in layer_grads.items():
-        grads[f"{prefix}.{name}"] = g
+    dh1 += dh1_k
+    dh1 += dh1_v
+    del dh1_k, dh1_v
+    _layer_norm_backward(model, dx, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1, grads,
+                         f"{pre}.ln1")
+    return dx
 
 
 def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
@@ -458,12 +463,13 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     dh = ops.matmul(dlogits, model.tok_emb)
     if dense:
-        d2 = dlogits.reshape(-1, dlogits.shape[-1])
-        h2 = tape.head_input.reshape(-1, tape.head_input.shape[-1])
-        grads["tok_emb"] = d2.T @ h2
+        grads["tok_emb"] = (dlogits.reshape(-1, dlogits.shape[-1]).T
+                            @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
+    del dlogits
     dx, dgf, dbf = ops.layer_norm_vjp(
         tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense
     )
+    del dh
     if dense:
         grads["ln_f.gamma"] = dgf
         grads["ln_f.beta"] = dbf

@@ -321,10 +321,13 @@ def qr_pivoted(m: np.ndarray):
 
 def numerical_rank(m: np.ndarray) -> int:
     """Count singular values above RANK_REL_TOL * ||m||_F (LAPACK, values only);
-    a norm that is not finite (NaN/Inf or overflow) is a NumericsError."""
+    a NaN/Inf entry is a NumericsError. The norm is taken of m divided by the
+    power of two just above max|m|, which is exact and cannot overflow."""
     if m.ndim != 2:
         raise DimensionError("numerical_rank expects a matrix")
-    scale_f = ensure_finite(np.linalg.norm(m), "numerical_rank's Frobenius norm")
-    if scale_f == 0.0:
+    peak = ensure_finite(np.max(np.abs(m), initial=0.0), "numerical_rank's input")
+    if peak == 0.0:
         return 0
-    return int(np.sum(np.linalg.svd(m, compute_uv=False) > RANK_REL_TOL * scale_f))
+    e = np.frexp(peak)[1]
+    threshold = np.ldexp(RANK_REL_TOL * np.linalg.norm(np.ldexp(m, -e)), e)
+    return int(np.sum(np.linalg.svd(m, compute_uv=False) > threshold))

@@ -334,6 +334,22 @@ def test_memreport_probe_reconciles(capsys):
     assert rep["measured"]["linear_low_elements"] == 6 * 1 * 2 * 8 * 2
 
 
+@pytest.mark.parametrize("mode", ["ft", "lora", "lora-fa", "frozen"])
+def test_memreport_probe_prints_retained_and_step_peak_bytes(capsys, mode):
+    code, out, _ = run_cli(
+        capsys, "memreport", "--mode", mode, "--rank", "2", "--d", "16",
+        "--layers", "2", "--heads", "2", "--vocab", "12",
+        "--batch-size", "2", "--seq-len", "8", "--probe",
+    )
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    m = rep["measured"]
+    elements = m["linear_full_elements"] + m["linear_low_elements"] + m["other_elements"]
+    assert rep["retained_bytes"] == elements * 8  # float64
+    # The step peak holds the retained tape plus the backward temporaries.
+    assert rep["step_peak_bytes"] >= rep["retained_bytes"] > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--d", "0", "--rank", "0"],
     ["--layers", "0"],

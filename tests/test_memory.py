@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lorafa.adapters import Mode
@@ -10,7 +12,7 @@ from lorafa.memory import (
     reconcile,
     weight_param_count,
 )
-from lorafa.model import ModelConfig, build_model, forward_loss
+from lorafa.model import ModelConfig, backward, build_model, forward_loss
 from lorafa.rng import RngState, randint
 
 
@@ -255,3 +257,27 @@ def test_shared_qkv_input_counted_once():
     # attn_q carries the shared input; k and v add nothing
     assert meas.per_layer["block0.attn_q"]["full"] == 2 * 6 * 16
     assert "block0.attn_k" not in meas.per_layer
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_step_peak_stays_near_the_retained_tape(mode):
+    # At the acceptance PARITY_MODEL geometry, the tracemalloc peak of one
+    # forward_loss + backward may exceed the meter's retained bytes by at most
+    # five (b, s, max(d, d_ff)) float64 tensors. Holding each backward
+    # temporary past its last use (dx of ffn2, GeLU's vjp, the head's
+    # gradient) costs more than six.
+    cfg = make_cfg(d=64, L=2, heads=4, vocab=32, s=16, b=16)
+    m = build_model(cfg, mode, rank=8, rng=RngState(3))
+    tokens = randint(RngState(4), 0, cfg.vocab, (cfg.batch_size, cfg.seq_len))
+    targets = randint(RngState(5), 0, cfg.vocab, (cfg.batch_size, cfg.seq_len))
+    tracemalloc.start()
+    try:
+        _, tape = forward_loss(m, tokens, targets)
+        backward(m, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    measured = measured_activation_elements(tape)
+    retained = (measured.linear_full + measured.linear_low + measured.other) * 8
+    unit = cfg.batch_size * cfg.seq_len * max(cfg.d, cfg.d_ff) * 8
+    assert peak - retained <= 5 * unit, (peak - retained) / unit

@@ -177,13 +177,20 @@ def test_numerical_rank_zero():
 
 
 def test_numerical_rank_nonfinite_raises():
-    m = randn((8, 64), RngState(3))
-    m[5, 0] = np.nan
-    # 1e200 I has finite entries, but its Frobenius norm overflows to inf,
-    # which leaves no threshold to count singular values against
-    for bad in (m, 1e200 * np.eye(4)):
-        with np.errstate(over="ignore"), pytest.raises(NumericsError):
-            ops.numerical_rank(bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = randn((8, 64), RngState(3))
+        m[5, 0] = bad
+        with pytest.raises(NumericsError):
+            ops.numerical_rank(m)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_numerical_rank_of_a_huge_finite_matrix(scale):
+    # The plain sum of squares of these entries overflows; the threshold,
+    # taken from the matrix scaled by a power of two, stays finite.
+    assert ops.numerical_rank(scale * np.eye(4)) == 4
+    m = randn((8, 3), RngState(4)) @ randn((3, 64), RngState(5))
+    assert ops.numerical_rank(scale * m) == ops.numerical_rank(m) == 3
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
