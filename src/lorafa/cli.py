@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import tracemalloc
@@ -25,6 +26,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_RECONCILE = 4
+
+# glibc's mallopt parameters (malloc.h) and the values main fixes them at.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20  # the ceiling of glibc's dynamic threshold (64-bit)
 
 
 # Flags not named after their field with dashes.
@@ -136,11 +142,11 @@ def cmd_memreport(args: argparse.Namespace) -> int:
         tracemalloc.start()  # this process's allocations during one forward + backward
         try:
             _, tape = forward_loss(m, tokens, targets)
+            measured = memory.measured_activation_elements(tape)  # before backward consumes it
             backward(m, tape)
             out["step_peak_bytes"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        measured = memory.measured_activation_elements(tape)
         out["measured"] = measured.to_dict()
         out["retained_bytes"] = (
             measured.linear_full + measured.linear_low + measured.other
@@ -242,7 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Keep the memory a training step frees for the next step (glibc only).
+
+    Backward frees the tape top-down, so under glibc's dynamic thresholds the
+    free heap top passes the trim threshold during every backward: its pages
+    go back to the kernel and the next forward faults them in again. Fixed
+    thresholds keep arrays up to _MMAP_THRESHOLD_BYTES on the heap and up to
+    _TRIM_THRESHOLD_BYTES of free heap top in the process. Where the C
+    library has no mallopt this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

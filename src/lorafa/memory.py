@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .adapters import Mode, RetainedActivations
-from .errors import ParameterError, ReconciliationError
+from .errors import DataError, ParameterError, ReconciliationError
 from .model import ModelConfig, Tape, block_layer_specs, count_trainable_formula
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
@@ -188,8 +188,12 @@ def measured_activation_elements(tape: Tape) -> MeasuredActivations:
     RetainedActivations are the linear inputs, keyed by layer), then the
     final layernorm, head input and loss softmax. A tensor referenced by
     several layers (the shared query/key/value input) is counted once,
-    attributed to the first layer that retained it.
+    attributed to the first layer that retained it. A tape without a loss,
+    which includes one that backward consumed, is a DataError: it would
+    count as nothing retained.
     """
+    if tape.loss_probs is None:
+        raise DataError("tape has no loss; meter it after forward_loss, before backward")
     seen: set[int] = set()
     out = MeasuredActivations()
 

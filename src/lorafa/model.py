@@ -5,9 +5,12 @@ general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
 mode's retention policy. The memory meter counts the same tape, filing all
 else (attention, GeLU, layernorm, loss softmax) under "other". Liveness
-rule: forward and backward drop every temporary the tape does not hold
-right after its last read, so a step's peak is the tape plus a few
-temporaries (Chen et al., arXiv 1604.06174, section 3).
+rule: forward and backward drop every temporary right after its last read,
+and backward consumes the tape: a linear layer's retained inputs and the
+loss, final layernorm and head arrays go at their last read, a block's other
+arrays once its backward returns. So a step's peak is the tape plus a few
+temporaries (Chen et al., arXiv 1604.06174, section 3), and the meter counts
+a tape before backward.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -205,7 +208,8 @@ def build_model(
 class BlockCache:
     """One block's retained arrays in forward order; a RetainedActivations
     field carries its layer's block_layer_specs name, the meter's key.
-    ln1's stats are None where the block's input gradient is dead."""
+    ln1's stats are None where the block's input gradient is dead. Backward
+    takes each RetainedActivations out as it reads it."""
 
     ln1_xhat: Optional[np.ndarray]
     ln1_inv: Optional[np.ndarray]
@@ -228,7 +232,7 @@ class BlockCache:
 class Tape:
     """Everything one forward pass retained for backward.
 
-    Backward reads it and the activation meter counts it: the block
+    Backward consumes it and the activation meter counts it: the block
     caches, then lnf_xhat, lnf_inv, head_input (ft only) and loss_probs.
     """
 
@@ -243,6 +247,10 @@ class Tape:
     loss_probs: Optional[np.ndarray] = None
     loss_mask: Optional[np.ndarray] = None
     loss_count: int = 0
+
+    def clear(self) -> None:
+        """Drop every retained array, as backward leaves the tape it consumed."""
+        vars(self).update(vars(Tape(self.b, self.s)))
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -374,8 +382,11 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
 
 def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads, pre: str,
                      input_grad: bool = True):
-    """One adapted linear's backward: stores its parameter gradients, returns its dx."""
-    dx, layer_grads = adapters.backward(getattr(block, name), getattr(cache, name), dy, input_grad)
+    """One adapted linear's backward: stores its parameter gradients, returns its dx.
+    The layer's retained activations leave the cache, as this is their last read."""
+    kept = getattr(cache, name)
+    setattr(cache, name, None)
+    dx, layer_grads = adapters.backward(getattr(block, name), kept, dy, input_grad)
     for tensor, g in layer_grads.items():
         grads[f"{pre}.{name}.{tensor}"] = g
     return dx
@@ -395,11 +406,14 @@ def _block_backward(
     model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str, input_grad: bool
 ):
     """Backward through one block; the block's input gradient (accumulated into
-    dx in place) only if input_grad. Each temporary dies after its last read."""
+    dx in place) only if input_grad. Each temporary dies after its last read,
+    and so does each layer's RetainedActivations (_linear_backward)."""
     nh = model.config.n_heads
 
-    # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid))))
-    df1 = ops.gelu_vjp(cache.gelu_in, _linear_backward(block, cache, "ffn2", dx, grads, pre))
+    # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid)))); GeLU's vjp overwrites
+    # ffn2's dx, which it reads last.
+    df1 = _linear_backward(block, cache, "ffn2", dx, grads, pre)
+    df1 = ops.gelu_vjp(cache.gelu_in, df1, out=df1)
     dh2 = _linear_backward(block, cache, "ffn1", df1, grads, pre)
     del df1
     _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2, grads,
@@ -436,22 +450,26 @@ def _block_backward(
 def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     """Gradients for exactly the mode's trainable set, keyed like trainable_params.
 
-    Only live gradients are computed. Block i's input gradient is live when
-    the mode trains dense tensors (embeddings, layer norms) or i > 0
-    (_input_grad_live), so in lora and lora-fa block 0's query/key/value
-    return only their adapter gradients and its ln1 vjp is skipped (the
-    tape holds no stats for it); layer-norm dgamma/dbeta exist only
-    where the mode trains dense tensors; in frozen mode, which trains
-    nothing, the result is {} once the tape is validated. A NaN/Inf in a
-    returned gradient is a NumericsError.
+    Backward consumes the tape in every mode: it drops its arrays as it goes
+    (the module docstring says when), writes into none, and leaves the tape
+    empty, so a second backward is a DataError. Only live gradients are computed. Block i's
+    input gradient is live when the mode trains dense tensors (embeddings,
+    layer norms) or i > 0 (_input_grad_live), so in lora and lora-fa block
+    0's query/key/value return only their adapter gradients and its ln1 vjp
+    is skipped (the tape holds no stats for it); layer-norm dgamma/dbeta
+    exist only where the mode trains dense tensors; in frozen mode, which
+    trains nothing, the result is {} once the tape is validated. A NaN/Inf
+    in a returned gradient is a NumericsError.
     """
     if tape.loss_probs is None:
         raise DataError("tape has no loss; run forward_loss first")
     dense = model.mode.trains_dense
     if not (model.mode.trains or dense):
+        tape.clear()
         return {}
     # (probs - onehot) / count on supervised positions, zero elsewhere.
     dlogits = tape.loss_probs.copy()
+    tape.loss_probs = None
     safe_targets = np.where(tape.loss_mask, tape.targets, 0)[..., None]
     np.put_along_axis(
         dlogits, safe_targets,
@@ -465,17 +483,20 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     if dense:
         grads["tok_emb"] = (dlogits.reshape(-1, dlogits.shape[-1]).T
                             @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
+        tape.head_input = None
     del dlogits
     dx, dgf, dbf = ops.layer_norm_vjp(
         tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense
     )
+    tape.lnf_xhat = tape.lnf_inv = None
     del dh
     if dense:
         grads["ln_f.gamma"] = dgf
         grads["ln_f.beta"] = dbf
     for i in reversed(range(len(model.blocks))):
-        dx = _block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}",
-                             _input_grad_live(model, i))
+        # The popped cache dies when its block's backward returns.
+        dx = _block_backward(model, model.blocks[i], tape.block_caches.pop(), dx, grads,
+                             f"block{i}", _input_grad_live(model, i))
     if dense:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)
@@ -483,6 +504,7 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
         dpos = np.zeros_like(model.pos_emb)
         dpos[: tape.s] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
+    tape.clear()
 
     ordered = trainable_params(model)
     if set(grads) != set(ordered):

@@ -10,22 +10,24 @@ product, which each kernel's output reaches before the loss, and ``qr``,
 ``qr_pivoted`` and ``numerical_rank`` what LAPACK takes or gives.
 
 No operation writes into its arguments: the tape retains forward inputs
-and outputs for backward. The elementwise kernels (GeLU, layer norm,
-softmax) instead write each intermediate into a buffer they allocated
-themselves, with ``out=``, applying the same operations in the same order
-and association as the plain numpy expression, so results are bit for bit
-the same. GeLU and its vjp, whose chains of a dozen passes over a multi-MB
-activation would otherwise stream through memory, run over flat blocks of
-``BLOCK`` elements sized to stay in L2; inputs up to one block take a
-single pass. Layer norm and softmax are not blocked: their row reductions
-(and the whole-array column sums of dgamma/dbeta, whose summation order
-blocking would change) see the whole array, and their arrays are small
-enough to stay cached.
+and outputs for backward. The one exception is ``gelu_vjp``'s ``out=``,
+which a caller may point at a dead gradient, upstream included. The
+elementwise kernels (GeLU, layer norm, softmax) write each intermediate
+into a buffer they allocated themselves, with ``out=``, applying the same
+operations in the same order and association as the plain numpy
+expression, so results are bit for bit the same. GeLU and its vjp, whose
+chains of a dozen passes over a multi-MB activation would otherwise stream
+through memory, run over flat blocks of ``BLOCK`` elements sized to stay in
+L2; inputs up to one block take a single pass. Layer norm and softmax are
+not blocked: their row reductions (and the whole-array column sums of
+dgamma/dbeta, whose summation order blocking would change) see the whole
+array, and their arrays are small enough to stay cached.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -49,9 +51,13 @@ LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
     # The sum is NaN/Inf-propagating and cheaper than isfinite().all(), which
     # decides only when the sum is not finite: finite values can overflow it.
-    # np.add.reduce is np.sum without its Python-level dispatch, which costs
-    # more than the reduction on the tiny arrays of the gradient checks.
-    if not np.isfinite(np.add.reduce(x, axis=None)) and not np.isfinite(x).all():
+    # That overflow (or inf - inf between partial sums) is expected, so it
+    # warns of neither. np.add.reduce is np.sum without its Python-level
+    # dispatch, which costs more than the reduction on the tiny arrays of the
+    # gradient checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.add.reduce(x, axis=None)) or np.isfinite(x).all()
+    if not finite:
         raise NumericsError(f"{what} contains NaN or Inf")
     return x
 
@@ -129,24 +135,26 @@ def _gelu_kernel(x, out, w):
 
 def _gelu_vjp_kernel(x, upstream, out, x2, w, t, s):
     # out = (0.5 (1 + t) + (0.5 c) x (1 - t t) (1 + 3a x2)) * upstream,
-    # t = tanh(c (x + a (x2 x))); x2, w, t and s are scratch.
+    # t = tanh(c (x + a (x2 x))); x2, w, t and s are scratch, w holding the
+    # derivative once t exists. out is written only by the last multiply,
+    # after upstream's last read, so out may be upstream itself.
     np.multiply(x, x, x2)
     np.multiply(x2, x, w)
     np.multiply(w, _GELU_A, w)
     np.add(x, w, w)
     np.multiply(_GELU_C, w, t)
     np.tanh(t, t)
-    np.multiply(0.5 * _GELU_C, x, out)
+    np.multiply(0.5 * _GELU_C, x, w)
     np.multiply(t, t, s)
     np.subtract(1.0, s, s)
-    np.multiply(out, s, out)
+    np.multiply(w, s, w)
     np.multiply(x2, 3.0 * _GELU_A, x2)
     np.add(x2, 1.0, x2)
-    np.multiply(out, x2, out)
+    np.multiply(w, x2, w)
     np.add(t, 1.0, t)
     np.multiply(t, 0.5, t)
-    np.add(t, out, out)
-    np.multiply(out, upstream, out)
+    np.add(t, w, w)
+    np.multiply(w, upstream, out)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -156,9 +164,15 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu_vjp(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+def gelu_vjp(x: np.ndarray, upstream: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """d gelu(x) * upstream, into a fresh array or into ``out``, which may be
+    ``upstream`` (a dead gradient the caller hands over) and must be a
+    C-contiguous array of x's shape."""
     # d/dx [0.5 x (1+t)] = 0.5 (1+t) + 0.5 x (1-t^2) * c (1 + 3a x^2)
-    out = np.empty(x.shape)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise DimensionError(f"gelu_vjp out must be a C-contiguous {x.shape} array")
     if np.shape(upstream) != x.shape:
         try:
             upstream = np.broadcast_to(upstream, x.shape)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,14 +62,20 @@ def test_matmul_nan_rejected():
 
 
 def test_ensure_finite_passes_finite_values_whose_sum_overflows():
-    big = np.full(10, 1e308)
-    with np.errstate(over="ignore"):
-        assert ops.ensure_finite(big) is big
-    for bad in (np.nan, np.inf, -np.inf):
-        x = big.copy()
-        x[3] = bad
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
-            ops.ensure_finite(x)
+    # Small and large arrays, without a warning: the sum's overflow (and
+    # inf - inf between partial sums, or beside an Inf) is expected.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (10, 1024, 1025, 3072):
+            big = np.full(n, 1e308)
+            assert ops.ensure_finite(big) is big
+            for bad in (np.nan, np.inf, -np.inf):
+                x = big.copy()
+                x[3] = bad
+                with pytest.raises(NumericsError):
+                    ops.ensure_finite(x)
+            mixed = np.concatenate([big[: n // 2], -big[n // 2:]])
+            assert ops.ensure_finite(mixed) is mixed
 
 
 # --- elementwise ----------------------------------------------------------
@@ -386,6 +394,15 @@ def test_vjps_reject_mismatched_upstream(call):
         call()
 
 
+@pytest.mark.parametrize("x, out", [
+    (np.ones((3, 4)), np.empty((3, 5))),
+    (np.ones(ops.BLOCK + 1), np.empty(2 * (ops.BLOCK + 1))[::2]),  # its flat view is a copy
+], ids=["shape", "strided"])
+def test_gelu_vjp_rejects_an_out_it_cannot_write_in_place(x, out):
+    with pytest.raises(DimensionError, match="out"):
+        ops.gelu_vjp(x, np.ones(x.shape), out=out)
+
+
 def test_primitive_gradients_match_finite_differences():
     results = check_primitives(seed=11, trials=6)
     assert results, "no primitives checked"
@@ -525,7 +542,13 @@ def kernel_inputs(shape, dtype, seed=0):
 def test_gelu_kernels_match_plain_expressions(shape, dtype):
     x, upstream, _, _ = kernel_inputs(shape, dtype)
     assert_same(call_unchanged(ops.gelu, x), ref_gelu(x))
-    assert_same(call_unchanged(ops.gelu_vjp, x, upstream), ref_gelu_vjp(x, upstream))
+    want = ref_gelu_vjp(x, upstream)
+    assert_same(call_unchanged(ops.gelu_vjp, x, upstream), want)
+    # out= may be upstream itself, a dead gradient the vjp overwrites.
+    x0 = x.copy()
+    assert ops.gelu_vjp(x, upstream, out=upstream) is upstream
+    assert_same(upstream, want)
+    assert_same(x, x0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
