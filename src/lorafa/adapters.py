@@ -195,20 +195,15 @@ def forward(layer: AdaptedLinear, x: np.ndarray):
     return y, kept
 
 
-def _merged(layer: AdaptedLinear, transpose: bool = False) -> np.ndarray:
-    """W + alpha * A @ B, or with transpose W^T + alpha * B^T @ A^T.
-
-    W itself without an adapter; else a fresh array, bit for bit the plain
-    expression, built in the product's buffer. The transpose is built, not
-    viewed, and each view made only when used: numpy allocates a shape block
-    per view, so a W_eff.T view held next to matmul's folding views adds to
-    a lora-fa step's memory peak.
-    """
+def _merged(layer: AdaptedLinear) -> np.ndarray:
+    """W + alpha * A @ B: W itself without an adapter, else a fresh array, bit
+    for bit the plain expression, built in the product's buffer. Forward
+    multiplies by it and backward by its transposed view."""
     if not layer.mode.has_adapter:
-        return layer.w.T if transpose else layer.w
-    w_eff = layer.b.T @ layer.a.T if transpose else layer.a @ layer.b
+        return layer.w
+    w_eff = layer.a @ layer.b
     w_eff *= layer.alpha
-    w_eff += layer.w.T if transpose else layer.w
+    w_eff += layer.w
     return w_eff
 
 
@@ -224,8 +219,8 @@ def backward(
 
     dx = dy (W + alpha A B)^T, rebuilt from the A and B forward used, so
     nothing but the mode's activations is retained. With input_grad false
-    nothing below the layer trains, dx is dead: neither it nor the
-    transposed merge is built, and None comes back in its place. Parameter
+    nothing below the layer trains, dx is dead: neither it nor the merged
+    weight is built, and None comes back in its place. Parameter
     gradients fold the leading dims without averaging (loss normalization
     owns averaging):
       ft:      dW = x^T dy
@@ -237,7 +232,7 @@ def backward(
         raise DimensionError(
             f"upstream trailing extent {dy.shape[-1]} != d_out {layer.d_out}"
         )
-    dx = matmul(dy, _merged(layer, transpose=True)) if input_grad else None
+    dx = matmul(dy, _merged(layer).T) if input_grad else None
     dy2 = _fold(dy)
     grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}
     return dx, grads

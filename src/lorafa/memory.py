@@ -186,13 +186,13 @@ def measured_activation_elements(tape: Tape) -> MeasuredActivations:
 
     Walks the arrays backward reads: each block cache in field order (its
     RetainedActivations are the linear inputs, keyed by layer), then the
-    final layernorm, head input and loss softmax. A tensor referenced by
+    final layernorm, head input and loss gradient. A tensor referenced by
     several layers (the shared query/key/value input) is counted once,
     attributed to the first layer that retained it. A tape without a loss,
     which includes one that backward consumed, is a DataError: it would
     count as nothing retained.
     """
-    if tape.loss_probs is None:
+    if tape.dlogits is None:
         raise DataError("tape has no loss; meter it after forward_loss, before backward")
     seen: set[int] = set()
     out = MeasuredActivations()
@@ -215,7 +215,7 @@ def measured_activation_elements(tape: Tape) -> MeasuredActivations:
                 out.per_layer[f"block{i}.{f.name}"] = {"full": full, "low": low}
             out.linear_full += full
             out.linear_low += low
-    for arr in (tape.lnf_xhat, tape.lnf_inv, tape.head_input, tape.loss_probs):
+    for arr in (tape.lnf_xhat, tape.lnf_inv, tape.head_input, tape.dlogits):
         out.other += count(arr)
     return out
 

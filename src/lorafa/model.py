@@ -4,13 +4,13 @@ Backprop here is a fixed tape over the known block structure, not a
 general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
 mode's retention policy. The memory meter counts the same tape, filing all
-else (attention, GeLU, layernorm, loss softmax) under "other". Liveness
+else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape: a linear layer's retained inputs and the
-loss, final layernorm and head arrays go at their last read, a block's other
-arrays once its backward returns. So a step's peak is the tape plus a few
-temporaries (Chen et al., arXiv 1604.06174, section 3), and the meter counts
-a tape before backward.
+loss gradient, final layernorm and head arrays go at their last read, a
+block's other arrays once its backward returns. So a step's peak is the tape
+plus a few temporaries (Chen et al., arXiv 1604.06174, section 3), and the
+meter counts a tape before backward.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -208,8 +208,8 @@ def build_model(
 class BlockCache:
     """One block's retained arrays in forward order; a RetainedActivations
     field carries its layer's block_layer_specs name, the meter's key.
-    ln1's stats are None where the block's input gradient is dead. Backward
-    takes each RetainedActivations out as it reads it."""
+    ln1's stats are None where the block's input gradient is dead, which is
+    how backward knows it. Backward takes out each RetainedActivations."""
 
     ln1_xhat: Optional[np.ndarray]
     ln1_inv: Optional[np.ndarray]
@@ -230,27 +230,23 @@ class BlockCache:
 
 @dataclass
 class Tape:
-    """Everything one forward pass retained for backward.
+    """The arrays one forward pass retained for backward, and nothing else.
 
     Backward consumes it and the activation meter counts it: the block
-    caches, then lnf_xhat, lnf_inv, head_input (ft only) and loss_probs.
+    caches, then lnf_xhat, lnf_inv, head_input (ft only) and dlogits, the
+    loss gradient forward_loss leaves.
     """
 
-    b: int
-    s: int
-    block_caches: list[BlockCache] = field(default_factory=list)
     tokens: Optional[np.ndarray] = None
-    targets: Optional[np.ndarray] = None
+    block_caches: list[BlockCache] = field(default_factory=list)
     lnf_xhat: Optional[np.ndarray] = None
     lnf_inv: Optional[np.ndarray] = None
     head_input: Optional[np.ndarray] = None
-    loss_probs: Optional[np.ndarray] = None
-    loss_mask: Optional[np.ndarray] = None
-    loss_count: int = 0
+    dlogits: Optional[np.ndarray] = None
 
     def clear(self) -> None:
         """Drop every retained array, as backward leaves the tape it consumed."""
-        vars(self).update(vars(Tape(self.b, self.s)))
+        vars(self).update(vars(Tape()))
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -261,13 +257,6 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     b, nh, s, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
-
-
-def _input_grad_live(model: TransformerModel, i: int) -> bool:
-    """Whether block i's input gradient is live: the mode trains the embeddings
-    (with the other dense tensors) or block i - 1's linears. Where it is not,
-    block i's ln1 vjp is dead, and forward drops the ln1 stats it would read."""
-    return model.mode.trains_dense or i > 0
 
 
 def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: bool) -> np.ndarray:
@@ -316,20 +305,29 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     return x
 
 
+def _check_ids(ids: np.ndarray, name: str) -> None:
+    """DimensionError unless a non-empty (batch, seq) array, DataError unless integer (not bool)."""
+    if ids.ndim != 2 or ids.size == 0:
+        raise DimensionError(f"{name} must be a non-empty (batch, seq) array, got {ids.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise DataError(f"{name} must be integer ids, got dtype {ids.dtype}")
+
+
 def _forward(model: TransformerModel, tokens: np.ndarray):
     """Shared forward: returns (logits, tape)."""
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise DimensionError("tokens must be (batch, seq)")
-    b, s = tokens.shape
+    _check_ids(tokens, "tokens")
+    s = tokens.shape[1]
     if s > model.config.seq_len:
         raise DimensionError(f"sequence length {s} exceeds configured {model.config.seq_len}")
     if tokens.min() < 0 or tokens.max() >= model.config.vocab:
         raise DataError("token id out of range")
-    tape = Tape(b=b, s=s, tokens=tokens)
+    tape = Tape(tokens=tokens)
     x = model.tok_emb[tokens] + model.pos_emb[:s]
     for i, block in enumerate(model.blocks):
-        x = _block_forward(model, block, x, tape, _input_grad_live(model, i))
+        # Block i keeps ln1's stats, which backward reads as "input gradient
+        # live", only in ft or if i > 0: nothing below block 0 trains outside ft.
+        x = _block_forward(model, block, x, tape, model.mode.trains_dense or i > 0)
     h, tape.lnf_xhat, tape.lnf_inv = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
     if model.mode.trains_dense:
         # Tied head: h is needed for the embedding gradient only when training it.
@@ -348,6 +346,7 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     Targets are validated before the forward pass, so a bad batch costs none.
     """
     targets = np.asarray(targets)
+    _check_ids(targets, "targets")
     if targets.shape != np.shape(tokens):
         raise DimensionError("targets must match tokens shape")
     # IGNORE_TARGET (-1) is the only valid negative id; anything below it
@@ -366,62 +365,63 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     probs = np.exp(log_probs)
     log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
     np.exp(log_probs, out=probs)
-    tape.loss_probs = probs
-    tape.loss_mask = mask
-    tape.loss_count = count
-    tape.targets = targets
-    picked = np.where(mask, targets, 0)
-    ll = np.take_along_axis(log_probs, picked[..., None], axis=-1)[..., 0]
+    picked = np.where(mask, targets, 0)[..., None]
+    ll = np.take_along_axis(log_probs, picked, axis=-1)[..., 0]
     loss = -float(np.sum(ll[mask])) / count
     if not np.isfinite(loss):
         raise NumericsError("loss is not finite")
+    # The fused softmax-cross-entropy gradient, (probs - onehot) / count on
+    # supervised positions and 0 elsewhere, in probs' buffer.
+    np.put_along_axis(probs, picked, np.take_along_axis(probs, picked, axis=-1) - 1.0, axis=-1)
+    probs *= mask[..., None] / count
+    tape.dlogits = probs
     return loss, tape
 
 
 # --- backward -----------------------------------------------------------
 
-def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads, pre: str,
+def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads,
                      input_grad: bool = True):
-    """One adapted linear's backward: stores its parameter gradients, returns its dx.
-    The layer's retained activations leave the cache, as this is their last read."""
+    """One adapted linear's backward: files its parameter gradients under id()
+    of their tensor, returns its dx, and drops its retained activations."""
     kept = getattr(cache, name)
     setattr(cache, name, None)
-    dx, layer_grads = adapters.backward(getattr(block, name), kept, dy, input_grad)
+    layer = getattr(block, name)
+    dx, layer_grads = adapters.backward(layer, kept, dy, input_grad)
     for tensor, g in layer_grads.items():
-        grads[f"{pre}.{name}.{tensor}"] = g
+        grads[id(getattr(layer, tensor))] = g
     return dx
 
 
-def _layer_norm_backward(model, dx, x_hat, inv, gamma, dy, grads, key: str) -> None:
+def _layer_norm_backward(model, dx, x_hat, inv, gamma, beta, dy, grads) -> None:
     """Adds a block layer norm's input gradient into the stream gradient dx in place."""
     dense = model.mode.trains_dense
     dx_ln, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense)
     dx += dx_ln
     if dense:
-        grads[f"{key}.gamma"] = dg
-        grads[f"{key}.beta"] = db
+        grads[id(gamma)] = dg
+        grads[id(beta)] = db
 
 
-def _block_backward(
-    model, block: Block, cache: BlockCache, dx: np.ndarray, grads, pre: str, input_grad: bool
-):
+def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grads):
     """Backward through one block; the block's input gradient (accumulated into
-    dx in place) only if input_grad. Each temporary dies after its last read,
-    and so does each layer's RetainedActivations (_linear_backward)."""
+    dx in place) only where forward kept ln1's stats, else None. Each
+    temporary and retained array dies after its last read."""
     nh = model.config.n_heads
+    input_grad = cache.ln1_xhat is not None
 
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid)))); GeLU's vjp overwrites
     # ffn2's dx, which it reads last.
-    df1 = _linear_backward(block, cache, "ffn2", dx, grads, pre)
+    df1 = _linear_backward(block, cache, "ffn2", dx, grads)
     df1 = ops.gelu_vjp(cache.gelu_in, df1, out=df1)
-    dh2 = _linear_backward(block, cache, "ffn1", df1, grads, pre)
+    dh2 = _linear_backward(block, cache, "ffn1", df1, grads)
     del df1
-    _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2, grads,
-                         f"{pre}.ln2")
+    _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,
+                         block.ln2_beta, dh2, grads)
     del dh2
 
     # x_mid = x_in + attn_o(attention(q, k, v))
-    dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads, pre), nh)
+    dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads), nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
     dv = _merge_heads(np.swapaxes(cache.probs, -1, -2) @ dctx_h)
     del dctx_h
@@ -431,58 +431,46 @@ def _block_backward(
     dq = _merge_heads(dscores @ cache.kh)
     dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ cache.qh)
     del dscores
-    dh1 = _linear_backward(block, cache, "attn_q", dq, grads, pre, input_grad)
+    dh1 = _linear_backward(block, cache, "attn_q", dq, grads, input_grad)
     del dq
-    dh1_k = _linear_backward(block, cache, "attn_k", dk, grads, pre, input_grad)
+    dh1_k = _linear_backward(block, cache, "attn_k", dk, grads, input_grad)
     del dk
-    dh1_v = _linear_backward(block, cache, "attn_v", dv, grads, pre, input_grad)
+    dh1_v = _linear_backward(block, cache, "attn_v", dv, grads, input_grad)
     del dv
     if not input_grad:
         return None
     dh1 += dh1_k
     dh1 += dh1_v
     del dh1_k, dh1_v
-    _layer_norm_backward(model, dx, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1, grads,
-                         f"{pre}.ln1")
+    _layer_norm_backward(model, dx, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma,
+                         block.ln1_beta, dh1, grads)
     return dx
 
 
 def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     """Gradients for exactly the mode's trainable set, keyed like trainable_params.
 
-    Backward consumes the tape in every mode: it drops its arrays as it goes
-    (the module docstring says when), writes into none, and leaves the tape
-    empty, so a second backward is a DataError. Only live gradients are computed. Block i's
-    input gradient is live when the mode trains dense tensors (embeddings,
-    layer norms) or i > 0 (_input_grad_live), so in lora and lora-fa block
-    0's query/key/value return only their adapter gradients and its ln1 vjp
-    is skipped (the tape holds no stats for it); layer-norm dgamma/dbeta
-    exist only where the mode trains dense tensors; in frozen mode, which
-    trains nothing, the result is {} once the tape is validated. A NaN/Inf
-    in a returned gradient is a NumericsError.
+    Backward does the work the tape allows, and consumes it: it starts from
+    tape.dlogits in place, drops each array at its last read (the module
+    docstring says when), writes into none and leaves the tape empty, so a
+    second backward is a DataError. A block whose cache holds no ln1 stats
+    (block 0 outside ft) returns no input gradient and skips its ln1 vjp;
+    dgamma/dbeta exist only in ft; frozen mode returns {}. Gradients are
+    filed under id() of their tensor; a NaN/Inf in one is a NumericsError.
     """
-    if tape.loss_probs is None:
+    if tape.dlogits is None:
         raise DataError("tape has no loss; run forward_loss first")
     dense = model.mode.trains_dense
     if not (model.mode.trains or dense):
         tape.clear()
         return {}
-    # (probs - onehot) / count on supervised positions, zero elsewhere.
-    dlogits = tape.loss_probs.copy()
-    tape.loss_probs = None
-    safe_targets = np.where(tape.loss_mask, tape.targets, 0)[..., None]
-    np.put_along_axis(
-        dlogits, safe_targets,
-        np.take_along_axis(dlogits, safe_targets, axis=-1) - 1.0,
-        axis=-1,
-    )
-    dlogits *= tape.loss_mask[..., None] / tape.loss_count
+    dlogits, tape.dlogits = tape.dlogits, None
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[int, np.ndarray] = {}
     dh = ops.matmul(dlogits, model.tok_emb)
     if dense:
-        grads["tok_emb"] = (dlogits.reshape(-1, dlogits.shape[-1]).T
-                            @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
+        grads[id(model.tok_emb)] = (dlogits.reshape(-1, dlogits.shape[-1]).T
+                                    @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
         tape.head_input = None
     del dlogits
     dx, dgf, dbf = ops.layer_norm_vjp(
@@ -491,26 +479,21 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     tape.lnf_xhat = tape.lnf_inv = None
     del dh
     if dense:
-        grads["ln_f.gamma"] = dgf
-        grads["ln_f.beta"] = dbf
-    for i in reversed(range(len(model.blocks))):
+        grads[id(model.lnf_gamma)] = dgf
+        grads[id(model.lnf_beta)] = dbf
+    for block in reversed(model.blocks):
         # The popped cache dies when its block's backward returns.
-        dx = _block_backward(model, model.blocks[i], tape.block_caches.pop(), dx, grads,
-                             f"block{i}", _input_grad_live(model, i))
+        dx = _block_backward(model, block, tape.block_caches.pop(), dx, grads)
     if dense:
         dtok = np.zeros_like(model.tok_emb)
         np.add.at(dtok, tape.tokens, dx)
-        grads["tok_emb"] += dtok
+        grads[id(model.tok_emb)] += dtok
         dpos = np.zeros_like(model.pos_emb)
-        dpos[: tape.s] = dx.sum(axis=0)
-        grads["pos_emb"] = dpos
+        dpos[: tape.tokens.shape[1]] = dx.sum(axis=0)
+        grads[id(model.pos_emb)] = dpos
     tape.clear()
-
-    ordered = trainable_params(model)
-    if set(grads) != set(ordered):
-        extra = sorted(set(grads) ^ set(ordered))
-        raise DataError(f"gradient keys do not match trainable set: {extra}")
-    return {k: ops.ensure_finite(grads[k], f"gradient {k}") for k in ordered}
+    return {k: ops.ensure_finite(grads[id(p)], f"gradient {k}")
+            for k, p in trainable_params(model).items()}
 
 
 # --- parameter accounting -------------------------------------------------

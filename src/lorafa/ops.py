@@ -174,10 +174,7 @@ def gelu_vjp(x: np.ndarray, upstream: np.ndarray, out: Optional[np.ndarray] = No
     elif out.shape != x.shape or not out.flags.c_contiguous:
         raise DimensionError(f"gelu_vjp out must be a C-contiguous {x.shape} array")
     if np.shape(upstream) != x.shape:
-        try:
-            upstream = np.broadcast_to(upstream, x.shape)
-        except ValueError:
-            raise DimensionError(f"gelu_vjp upstream {np.shape(upstream)} vs x {x.shape}") from None
+        raise DimensionError(f"gelu_vjp upstream {np.shape(upstream)} vs x {x.shape}")
     _blockwise(_gelu_vjp_kernel, (x, upstream, out), 4)
     return out
 

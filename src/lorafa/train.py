@@ -168,7 +168,7 @@ def _merged_weights(model: TransformerModel) -> dict[str, np.ndarray]:
 def _meter(cfg: RunConfig, tape: Tape) -> tuple[dict, dict]:
     """The report's measured activations and their reconciliation, from one tape."""
     measured = memory.measured_activation_elements(tape)
-    reconciliation = memory.reconcile(cfg.model, cfg.mode, cfg.rank, measured, tape.b, tape.s)
+    reconciliation = memory.reconcile(cfg.model, cfg.mode, cfg.rank, measured, *tape.tokens.shape)
     return measured.to_dict(), reconciliation
 
 

@@ -207,7 +207,7 @@ def test_backward_without_input_grad_builds_no_dx(monkeypatch, mode):
     _, kept = adapters.forward(layer, x)
     _, want = adapters.backward(layer, kept, dy)
     monkeypatch.setattr(adapters, "matmul", None)  # the dx product must not run
-    monkeypatch.setattr(adapters, "_merged", None)  # nor the transposed merge
+    monkeypatch.setattr(adapters, "_merged", None)  # nor the merged weight
     dx, got = adapters.backward(layer, kept, dy, input_grad=False)
     assert dx is None
     assert list(got) == list(want) == list(mode.trains)

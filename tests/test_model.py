@@ -107,6 +107,22 @@ def test_target_id_out_of_range(bad):
         forward_loss(m, tokens, targets)
 
 
+@pytest.mark.parametrize("tokens, error", [
+    (np.zeros((0, 4), dtype=int), DimensionError),
+    (np.zeros((1, 0), dtype=int), DimensionError),
+    (np.zeros(4, dtype=int), DimensionError),
+    (np.zeros((1, 4)), DataError),
+    (np.zeros((1, 4), dtype=bool), DataError),
+    (np.zeros((1, 4), dtype=object), DataError),
+    (np.full((1, 4), -1), DataError),
+], ids=["no-rows", "no-positions", "1-d", "float", "bool", "object", "negative"])
+def test_bad_tokens_are_typed_errors(tokens, error):
+    # numpy would raise ValueError, IndexError or TypeError for these
+    m = build_model(CFG, Mode.FROZEN, rng=RngState(1))
+    with pytest.raises(error):
+        forward_logits(m, tokens)
+
+
 def test_causality():
     m = build_model(CFG, Mode.FT, rng=RngState(8))
     tokens, _ = data(11)
@@ -184,10 +200,7 @@ def _ref_block_backward(model, block, cache, dx, grads, pre):
 
 
 def _ref_backward(model, tape):
-    dlogits = tape.loss_probs.copy()
-    safe = np.where(tape.loss_mask, tape.targets, 0)[..., None]
-    np.put_along_axis(dlogits, safe, np.take_along_axis(dlogits, safe, axis=-1) - 1.0, axis=-1)
-    dlogits *= tape.loss_mask[..., None] / tape.loss_count
+    dlogits = tape.dlogits.copy()
     grads = {}
     d2 = dlogits.reshape(-1, dlogits.shape[-1])
     if tape.head_input is not None:
@@ -201,7 +214,7 @@ def _ref_backward(model, tape):
         np.add.at(dtok, tape.tokens, dx)
         grads["tok_emb"] += dtok
         dpos = np.zeros_like(model.pos_emb)
-        dpos[: tape.s] = dx.sum(axis=0)
+        dpos[: tape.tokens.shape[1]] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
     return {k: grads[k] for k in trainable_params(model)}
 
@@ -266,7 +279,7 @@ def test_frozen_backward_returns_no_gradients(monkeypatch):
     monkeypatch.setattr(adapters, "backward", None)  # frozen backward runs no linear
     assert backward(m, tape) == {}
     with pytest.raises(DataError, match="no loss"):
-        backward(m, Tape(b=2, s=CFG.seq_len))
+        backward(m, Tape())
 
 
 # --- frozen-parameter purity ----------------------------------------------------
@@ -376,9 +389,35 @@ def test_targets_are_validated_before_the_forward_pass(monkeypatch):
         (below_ignore, DataError),
         (np.full_like(targets, CFG.vocab), DataError),
         (np.full_like(targets, IGNORE_TARGET), DataError),
+        (targets.astype(float), DataError),
+        (targets.astype(bool), DataError),
     ):
         with pytest.raises(error):
             forward_loss(m, tokens, bad)
+    with pytest.raises(DimensionError):
+        forward_loss(m, tokens[:, :0], targets[:, :0])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_forward_loss_leaves_the_cross_entropy_gradient(mode):
+    # (softmax - onehot) * mask / count, in the op order backward used to
+    # build it from the tape's softmax; ignored positions are exactly 0.
+    m = build_model(CFG, mode, rank=2, rng=RngState(3))
+    tokens, targets = data(14)
+    targets[0, :3] = IGNORE_TARGET
+    logits = forward_logits(m, tokens)
+    log_probs = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(log_probs)
+    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
+    np.exp(log_probs, out=probs)
+    mask = targets != IGNORE_TARGET
+    safe = np.where(mask, targets, 0)[..., None]
+    want = probs.copy()
+    np.put_along_axis(want, safe, np.take_along_axis(want, safe, axis=-1) - 1.0, axis=-1)
+    want *= mask[..., None] / int(mask.sum())
+    _, tape = forward_loss(m, tokens, targets)
+    assert tape.dlogits.tobytes() == want.tobytes()
+    assert not tape.dlogits[~mask].any()
 
 
 @pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
