@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ops
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ModeError, ParameterError
 from .rng import RngState, randint, randn
 
 FD_STEP = 6e-6
@@ -132,6 +132,12 @@ def _require_trials(trials: int) -> None:
         raise ParameterError(f"trials must be >= 1, got {trials}")
 
 
+def _require_trainable(mode) -> None:
+    # A mode that trains nothing emits no gradient to check.
+    if not mode.trains:
+        raise ModeError(f"gradcheck needs a mode that trains a tensor; {mode.value} trains none")
+
+
 def check_primitives(seed: int = 0, trials: int = 20) -> dict[str, float]:
     """Worst relative error per primitive over ``trials`` random shapes."""
     _require_trials(trials)
@@ -149,6 +155,7 @@ def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
     """FD-check every gradient an adapted layer emits, via loss = 0.5 ||y||^2."""
     from . import adapters
 
+    _require_trainable(mode)
     _require_trials(trials)
     rng = RngState(seed)
     worst = 0.0
@@ -177,6 +184,7 @@ def check_tiny_model(mode, seed: int = 0, d: int = 8, n_layers: int = 1, vocab: 
     from .model import ModelConfig, backward, build_model, forward_loss, trainable_params
     from .rng import derive
 
+    _require_trainable(mode)
     rng = RngState(seed)
     config = ModelConfig(
         d=d, n_layers=n_layers, n_heads=2, vocab=vocab, seq_len=6, batch_size=2

@@ -6,11 +6,15 @@ backward rule needs, with linear-layer inputs governed by the adaptation
 mode's retention policy. The memory meter counts the same tape, filing all
 else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
-and backward consumes the tape: a linear layer's retained inputs and the
-loss gradient, final layernorm and head arrays go at their last read, a
-block's other arrays once its backward returns. So a step's peak is the tape
-plus a few temporaries (Chen et al., arXiv 1604.06174, section 3), and the
-meter counts a tape before backward.
+and backward consumes the tape: a linear layer's retained inputs, GeLU's
+input and the loss gradient, final layernorm and head arrays go at their
+last read, a block's other arrays once its backward returns. ffn2 runs over
+blocks of ops.ROWS rows (adapters.forward with out=), adding into the residual
+stream, so in modes that do not retain GeLU's output (lora-fa, frozen)
+neither it nor ffn2's output is ever whole (Dao et al., arXiv 2205.14135,
+tile so that no full intermediate exists). So a step's peak is the tape plus
+a few temporaries (Chen et al., arXiv 1604.06174, section 3), and the meter
+counts a tape before backward.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -209,7 +213,8 @@ class BlockCache:
     """One block's retained arrays in forward order; a RetainedActivations
     field carries its layer's block_layer_specs name, the meter's key.
     ln1's stats are None where the block's input gradient is dead, which is
-    how backward knows it. Backward takes out each RetainedActivations."""
+    how backward knows it. Backward takes out each RetainedActivations, and
+    GeLU's input at its vjp."""
 
     ln1_xhat: Optional[np.ndarray]
     ln1_inv: Optional[np.ndarray]
@@ -224,7 +229,7 @@ class BlockCache:
     ln2_xhat: np.ndarray
     ln2_inv: np.ndarray
     ffn1: RetainedActivations
-    gelu_in: np.ndarray
+    gelu_in: Optional[np.ndarray]
     ffn2: RetainedActivations
 
 
@@ -281,16 +286,15 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     del scores
 
     attn_out, kept_o = adapters.forward(block.attn_o, _merge_heads(probs @ vh))
-    # Residual adds land in the branch output's buffer, which nothing retains.
+    # Residual adds land in a buffer that nothing retains: attention's in its
+    # output's, ffn2's (which runs over row blocks) in that same stream.
     attn_out += x
     x = attn_out
 
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     f1, kept_f1 = adapters.forward(block.ffn1, h2)
     del h2
-    f2, kept_f2 = adapters.forward(block.ffn2, ops.gelu(f1))
-    f2 += x
-    x = f2
+    x, kept_f2 = adapters.forward(block.ffn2, f1, act=ops.gelu, out=x)
 
     tape.block_caches.append(
         BlockCache(
@@ -411,9 +415,10 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     input_grad = cache.ln1_xhat is not None
 
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid)))); GeLU's vjp overwrites
-    # ffn2's dx, which it reads last.
+    # ffn2's dx, which it reads last, and is the last read of GeLU's input.
     df1 = _linear_backward(block, cache, "ffn2", dx, grads)
     df1 = ops.gelu_vjp(cache.gelu_in, df1, out=df1)
+    cache.gelu_in = None
     dh2 = _linear_backward(block, cache, "ffn1", df1, grads)
     del df1
     _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,

@@ -9,7 +9,7 @@ from lorafa.errors import (
     ParameterError,
     RetentionPolicyError,
 )
-from lorafa.gradcheck import check_adapter_layer
+from lorafa.gradcheck import check_adapter_layer, check_tiny_model
 from lorafa.ops import numerical_rank
 from lorafa.rng import RngState, randn
 
@@ -60,6 +60,13 @@ def test_gradcheck_rejects_zero_trials():
         check_adapter_layer(Mode.LORA_FA, trials=0)
 
 
+@pytest.mark.parametrize("check", [check_adapter_layer, check_tiny_model])
+def test_gradcheck_of_frozen_mode_is_a_mode_error(check):
+    # Frozen mode emits no gradient, so there is nothing to check.
+    with pytest.raises(ModeError, match="frozen"):
+        check(Mode.FROZEN)
+
+
 def test_a_has_full_numerical_rank_across_seeds():
     for seed in range(100):
         layer = init_adapter(64, 64, 8, None, Mode.LORA_FA, RngState(seed))
@@ -95,6 +102,16 @@ def test_forward_shape_error():
     layer = make_layer(Mode.FT)
     with pytest.raises(DimensionError):
         adapters.forward(layer, np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("out", [np.zeros((2, 4)), np.zeros((2, 10))[:, ::2]],
+                         ids=["shape", "strided"])
+def test_forward_into_a_stream_rejects_a_bad_out(out):
+    # The product is added into out through a flat view, which a strided
+    # out would not share memory with.
+    layer = make_layer(Mode.LORA_FA)
+    with pytest.raises(DimensionError, match="C-contiguous"):
+        adapters.forward(layer, np.ones((2, 6)), act=np.tanh, out=out)
 
 
 @pytest.mark.parametrize(

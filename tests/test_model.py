@@ -440,6 +440,38 @@ def test_backward_leaves_the_tape_unchanged(mode):
         assert arr.tobytes() == before[key], f"{key} changed"
 
 
+# ffn2 runs over blocks of ops.ROWS of the b*s = 200 rows here: one block, the
+# default (a full block and a ragged one) and 48-row blocks (four and a ragged 8).
+ROW_CFG = ModelConfig(d=16, n_layers=2, n_heads=2, vocab=11, seq_len=40, batch_size=5)
+ROW_BLOCKS = [ROW_CFG.batch_size * ROW_CFG.seq_len, ops.ROWS, 48]
+
+
+def _step_over_row_blocks(monkeypatch, mode, rows):
+    monkeypatch.setattr(ops, "ROWS", rows)
+    m = build_model(ROW_CFG, mode, rank=2, rng=RngState(9))
+    for p in trainable_params(m).values():  # B != 0, so the adapter branch counts
+        p += 0.1 * randn(p.shape, RngState(p.size))
+    tokens, targets = data(10, ROW_CFG, b=ROW_CFG.batch_size)
+    loss, tape = forward_loss(m, tokens, targets)
+    return loss, backward(m, tape), forward_logits(m, tokens)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_ffn2_row_blocks_agree_with_one_block(monkeypatch, mode):
+    # A row block's GEMMs may round differently from the whole array's (BLAS
+    # blocks fewer rows differently), so this holds to 1e-12, not bit for bit;
+    # tools/report_digest.py shows the default is bit-identical at the
+    # benchmark geometries.
+    loss, grads, logits = _step_over_row_blocks(monkeypatch, mode, ROW_BLOCKS[0])
+    for rows in ROW_BLOCKS[1:]:
+        got_loss, got_grads, got_logits = _step_over_row_blocks(monkeypatch, mode, rows)
+        assert got_loss == pytest.approx(loss, rel=1e-12, abs=0)
+        np.testing.assert_allclose(got_logits, logits, rtol=1e-12, atol=0)
+        assert got_grads.keys() == grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=1e-12, atol=0, err_msg=name)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_a_consumed_tape_cannot_be_backpropagated_again(mode):
     m = build_model(CFG, mode, rank=2, rng=RngState(5))
