@@ -182,20 +182,19 @@ def init_adapter(
     return AdaptedLinear(w, a, b, rank, alpha, mode)
 
 
-def forward(layer: AdaptedLinear, x: np.ndarray, act=None, out: Optional[np.ndarray] = None):
+def forward(layer: AdaptedLinear, x: np.ndarray, gelu_into: Optional[np.ndarray] = None):
     """y = x (W + alpha A B), plus x@A in adapter modes; returns (y, kept).
 
-    With out, a residual stream, and act, an elementwise function (GeLU),
-    the layer's input is act(x) and its product is added into out, over
-    blocks of ops.ROWS folded rows; y is out, and kept is what the input
-    act(x) keeps (see _forward_rows).
+    With gelu_into, a residual stream of y's shape, the layer's input is
+    GeLU(x) instead, and its product is added into gelu_into, which is
+    returned as y (see _forward_gelu_into).
     """
     if x.shape[-1] != layer.d_in:
         raise DimensionError(
             f"input trailing extent {x.shape[-1]} != d_in {layer.d_in}"
         )
-    if out is not None:
-        return out, _forward_rows(layer, x, act, out)
+    if gelu_into is not None:
+        return gelu_into, _forward_gelu_into(layer, x, gelu_into)
     y = matmul(x, _merged(layer))
     kept = RetainedActivations(
         x_full=x if layer.mode.retains_full_input else None,
@@ -204,39 +203,40 @@ def forward(layer: AdaptedLinear, x: np.ndarray, act=None, out: Optional[np.ndar
     return y, kept
 
 
-def _forward_rows(layer: AdaptedLinear, x: np.ndarray, act, out: np.ndarray) -> RetainedActivations:
-    """out += act(x) (W + alpha A B) over blocks of ops.ROWS folded rows.
+def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> RetainedActivations:
+    """out += GeLU(x) (W + alpha A B); returns what the input GeLU(x) keeps.
 
-    Where the mode retains its input, act(x) is built whole, being x_full;
-    elsewhere each row block's input, product and x@A exist only while that
-    block runs, so neither the input nor the product is ever whole, and x@A
-    goes into its block's rows of the retained array. out is added into in
-    place (out + y is y + out bit for bit), so it must be C-contiguous and
-    retained by nothing.
+    Where the mode retains its input, GeLU(x) is built whole, being x_full,
+    and so is the product. Elsewhere the work runs over blocks of ops.ROWS
+    folded rows, so neither GeLU(x) nor the product is ever whole, and each
+    block's x@A goes into its rows of the retained array. out is added into
+    in place (out + y is y + out bit for bit), so it must be C-contiguous,
+    for its rows to be views, and retained by nothing.
     """
     if out.shape != x.shape[:-1] + (layer.d_out,) or not out.flags.c_contiguous:
-        raise DimensionError(f"forward out must be a C-contiguous {x.shape[:-1]} x "
+        raise DimensionError(f"forward gelu_into must be a C-contiguous {x.shape[:-1]} x "
                              f"{layer.d_out} array, got {out.shape}")
-    whole = layer.mode.retains_full_input
-    x_full = act(x) if whole else None
-    x_low = np.empty(x.shape[:-1] + (layer.rank,)) if layer.mode.has_adapter else None
     w = _merged(layer)
-    # As few arrays live at once as the loop allows: numpy caches the shape
-    # buffers of freed arrays, which tracemalloc counts, so every extra live
-    # view would raise the step peak. Row views come from a fold that dies at
-    # once, the retained x@A and out are written through flat views, and
-    # each block's input and product go at their last use.
-    n, r, d_out = out.size // layer.d_out, layer.rank, layer.d_out
-    for lo in range(0, n, ops.ROWS):
-        hi = lo + ops.ROWS
-        xb = _fold(x_full)[lo:hi] if whole else act(_fold(x)[lo:hi])
+    if layer.mode.retains_full_input:
+        x_full = ops.gelu(x)
+        y = matmul(x_full, w)
+        out += y
+        del y
+        return RetainedActivations(
+            x_full=x_full,
+            x_low=matmul(x_full, layer.a) if layer.mode.has_adapter else None,
+        )
+    x_low = np.empty(x.shape[:-1] + (layer.rank,)) if layer.mode.has_adapter else None
+    for lo in range(0, out.size // layer.d_out, ops.ROWS):
+        block = slice(lo, lo + ops.ROWS)
+        xb = ops.gelu(_fold(x)[block])
         if x_low is not None:
-            x_low.reshape(-1)[lo * r:hi * r] = matmul(xb, layer.a).reshape(-1)
+            _fold(x_low)[block] = matmul(xb, layer.a)
         y = matmul(xb, w)
         del xb
-        out.reshape(-1)[lo * d_out:hi * d_out] += y.reshape(-1)
+        _fold(out)[block] += y
         del y  # before the next block's input exists
-    return RetainedActivations(x_full=x_full, x_low=x_low)
+    return RetainedActivations(x_full=None, x_low=x_low)
 
 
 def _merged(layer: AdaptedLinear) -> np.ndarray:

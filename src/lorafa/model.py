@@ -8,13 +8,13 @@ else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape: a linear layer's retained inputs, GeLU's
 input and the loss gradient, final layernorm and head arrays go at their
-last read, a block's other arrays once its backward returns. ffn2 runs over
-blocks of ops.ROWS rows (adapters.forward with out=), adding into the residual
-stream, so in modes that do not retain GeLU's output (lora-fa, frozen)
-neither it nor ffn2's output is ever whole (Dao et al., arXiv 2205.14135,
-tile so that no full intermediate exists). So a step's peak is the tape plus
-a few temporaries (Chen et al., arXiv 1604.06174, section 3), and the meter
-counts a tape before backward.
+last read, a block's other arrays once its backward returns. In modes that
+do not retain GeLU's output (lora-fa, frozen), ffn2 runs over blocks of
+ops.ROWS rows (adapters.forward with gelu_into=), adding into the residual
+stream, so neither GeLU's output nor ffn2's is ever whole (Dao et al.,
+arXiv 2205.14135, tile so that no full intermediate exists). So a step's
+peak is the tape plus a few temporaries (Chen et al., arXiv 1604.06174,
+section 3), and the meter counts a tape before backward.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -294,7 +294,7 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     f1, kept_f1 = adapters.forward(block.ffn1, h2)
     del h2
-    x, kept_f2 = adapters.forward(block.ffn2, f1, act=ops.gelu, out=x)
+    x, kept_f2 = adapters.forward(block.ffn2, f1, gelu_into=x)
 
     tape.block_caches.append(
         BlockCache(

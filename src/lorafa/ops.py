@@ -42,13 +42,13 @@ _GELU_A = 0.044715
 # 128 KB, so one block of each operand and scratch row stays in a core's L2.
 BLOCK = 16_384
 
-# Rows per block of the row-blocked ffn2 forward (adapters.forward, out=). The
-# GEMMs of a row block must give the whole array's rows bit for bit, and BLAS
-# may block a product of fewer rows differently: with OpenBLAS 0.3.31 on one
-# thread the g2-wide x@A (512x512 @ 512x16) changes bits for blocks below 128
-# rows, and 64-row blocks move the g2-wide lora and lora-fa lines of
-# tools/report_digest.py; at 128 rows all of its lines match the whole-array
-# products'.
+# Rows per block of the row-blocked ffn2 forward (adapters.forward with
+# gelu_into=). The GEMMs of a row block must give the whole array's rows bit
+# for bit, and BLAS may block a product of fewer rows differently: with
+# OpenBLAS 0.3.31 on one thread the g2-wide x@A (512x512 @ 512x16) changes
+# bits for blocks below 128 rows, and 64-row blocks move the g2-wide lora and
+# lora-fa lines of tools/report_digest.py; at 128 rows all of its lines match
+# the whole-array products'.
 ROWS = 128
 
 # Relative threshold on singular values when counting numerical rank.
@@ -88,11 +88,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
     out = np.empty(a.shape[:-1] + b.shape[1:])
-    if a.ndim == 2:  # already folded: no views, whose shape buffers add to the step peak
-        np.matmul(a, b, out=out)
-    else:
-        rows = math.prod(a.shape[:-1])
-        np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
+    rows = math.prod(a.shape[:-1])
+    np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
     return ensure_finite(out, "matmul")
 
 

@@ -107,11 +107,11 @@ def test_forward_shape_error():
 @pytest.mark.parametrize("out", [np.zeros((2, 4)), np.zeros((2, 10))[:, ::2]],
                          ids=["shape", "strided"])
 def test_forward_into_a_stream_rejects_a_bad_out(out):
-    # The product is added into out through a flat view, which a strided
-    # out would not share memory with.
+    # The product is added into out's row blocks through a folded view,
+    # which a strided out would not share memory with.
     layer = make_layer(Mode.LORA_FA)
     with pytest.raises(DimensionError, match="C-contiguous"):
-        adapters.forward(layer, np.ones((2, 6)), act=np.tanh, out=out)
+        adapters.forward(layer, np.ones((2, 6)), gelu_into=out)
 
 
 @pytest.mark.parametrize(

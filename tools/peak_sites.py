@@ -1,6 +1,6 @@
 """Print each benchmark mode's step peak and the source line that reaches it.
 
-    python3 tools/peak_sites.py [--workload NAME] [--seed N]
+    python3 tools/peak_sites.py [--workload NAME]
 
 Run it from a checkout's root: it imports lorafa from ./src and the
 benchmark harness from ./bench. For each geometry of bench/design.json
@@ -42,6 +42,8 @@ import harness  # noqa: E402
 import spans  # noqa: E402
 
 SRC = os.path.abspath("src") + os.sep
+# Step peaks follow from array sizes, not values, so one seed serves.
+SEED = 0
 # The site is the first line that brings the traced memory within SLACK bytes
 # of the step's peak, so a small temporary made after the last large buffer
 # (a numpy scalar, a context manager) does not take the credit.
@@ -68,16 +70,21 @@ def peak_site(run) -> str:
 
     Each event reads the peak since the last one, which the previous event's
     line reached. Only candidates within SLACK of the running maximum are
-    kept, so the tracer's own memory stays a few KB.
+    kept, so the tracer's own memory stays a few KB, and what the kept
+    candidates hold is subtracted from every peak read: else each one would
+    raise the next peak by its own size and win the next event.
     """
     cands: list[tuple[int, tuple]] = []  # (peak, stack), earliest first
     prev = [None, 0]  # the frame and line of the last event
+    own = [0]  # bytes the kept candidates hold
 
     def tracer(frame, event, arg):
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - own[0]
         if prev[0] is not None and (not cands or peak > cands[-1][0]):
+            held = tracemalloc.get_traced_memory()[0]
             cands[:] = [c for c in cands if c[0] >= peak - SLACK]
             cands.append((peak, _stack(*prev)))
+            own[0] += tracemalloc.get_traced_memory()[0] - held
         tracemalloc.reset_peak()
         if event == "return":  # what follows runs in the caller's line
             frame = frame.f_back
@@ -94,15 +101,15 @@ def peak_site(run) -> str:
     return " < ".join(f"{os.path.relpath(path)}:{line} ({func})" for path, line, func in cands[0][1])
 
 
-def report(name: str, seed: int) -> list[str]:
+def report(name: str) -> list[str]:
     wl = harness.Workload.load(name)
     checks = harness.Checks()
-    _, statics = harness.gate(wl, seed, checks)
+    _, statics = harness.gate(wl, SEED, checks)
     lf, _ = harness.load_lorafa()
     tr = spans.NullTracer()
     lines = []
     for mode in harness.MODES:
-        st = harness.setup_mode(lf, wl, seed, mode, tr)
+        st = harness.setup_mode(lf, wl, SEED, mode, tr)
         harness.train_mode(lf, wl, st, wl.gate_steps, checks, tr, snapshots=False)
         # The gate's tracemalloc step: its start is a no-op while the tracer's
         # tracing runs, and its stop ends that tracing once the step is done.
@@ -117,17 +124,15 @@ def report(name: str, seed: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default=None, help="one geometry of bench/design.json")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.workload is not None:
-        for line in report(args.workload, args.seed):
+        for line in report(args.workload):
             print(line, flush=True)
         return 0
     with open(os.path.join("bench", "design.json")) as f:
         names = list(json.load(f)["workloads"])
     for name in names:
-        subprocess.run([sys.executable, __file__, "--workload", name, "--seed", str(args.seed)],
-                       check=True)
+        subprocess.run([sys.executable, __file__, "--workload", name], check=True)
     return 0
 
 
