@@ -18,7 +18,7 @@ from .errors import (
     RetentionPolicyError,
     StateError,
 )
-from .memory import MemoryBreakdown, Modifiers, analytic_report, measured_activation_elements, reconcile
+from .memory import MemoryBreakdown, analytic_report, measured_activation_elements, reconcile
 from .model import (
     ModelConfig,
     TransformerModel,

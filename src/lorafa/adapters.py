@@ -206,37 +206,30 @@ def forward(layer: AdaptedLinear, x: np.ndarray, gelu_into: Optional[np.ndarray]
 def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> RetainedActivations:
     """out += GeLU(x) (W + alpha A B); returns what the input GeLU(x) keeps.
 
+    The product runs over blocks of ops.ROWS folded rows, so it is never
+    whole, and each block's x@A goes into its rows of the retained array.
     Where the mode retains its input, GeLU(x) is built whole, being x_full,
-    and so is the product. Elsewhere the work runs over blocks of ops.ROWS
-    folded rows, so neither GeLU(x) nor the product is ever whole, and each
-    block's x@A goes into its rows of the retained array. out is added into
-    in place (out + y is y + out bit for bit), so it must be C-contiguous,
-    for its rows to be views, and retained by nothing.
+    and the blocks are its views; elsewhere each block builds its own GeLU,
+    so GeLU(x) is never whole either. out is added into in place (out + y
+    is y + out bit for bit), so it must be C-contiguous, for its rows to be
+    views, and retained by nothing.
     """
     if out.shape != x.shape[:-1] + (layer.d_out,) or not out.flags.c_contiguous:
         raise DimensionError(f"forward gelu_into must be a C-contiguous {x.shape[:-1]} x "
                              f"{layer.d_out} array, got {out.shape}")
     w = _merged(layer)
-    if layer.mode.retains_full_input:
-        x_full = ops.gelu(x)
-        y = matmul(x_full, w)
-        out += y
-        del y
-        return RetainedActivations(
-            x_full=x_full,
-            x_low=matmul(x_full, layer.a) if layer.mode.has_adapter else None,
-        )
+    x_full = ops.gelu(x) if layer.mode.retains_full_input else None
     x_low = np.empty(x.shape[:-1] + (layer.rank,)) if layer.mode.has_adapter else None
     for lo in range(0, out.size // layer.d_out, ops.ROWS):
         block = slice(lo, lo + ops.ROWS)
-        xb = ops.gelu(_fold(x)[block])
+        xb = ops.gelu(_fold(x)[block]) if x_full is None else _fold(x_full)[block]
         if x_low is not None:
             _fold(x_low)[block] = matmul(xb, layer.a)
         y = matmul(xb, w)
         del xb
         _fold(out)[block] += y
         del y  # before the next block's input exists
-    return RetainedActivations(x_full=None, x_low=x_low)
+    return RetainedActivations(x_full, x_low)
 
 
 def _merged(layer: AdaptedLinear) -> np.ndarray:

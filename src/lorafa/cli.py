@@ -38,7 +38,7 @@ _FLAG_NAMES = {"n_layers": "--layers", "n_heads": "--heads", "report_path": "--r
 
 # Allowed values per field; the config dataclasses check the same constants.
 _CHOICES = {"mode": [m.value for m in Mode], "task": tasks.TASK_KINDS,
-            "optimizer": optim.OPTIMIZERS, "weight_bits": memory.WEIGHT_BITS}
+            "optimizer": optim.OPTIMIZERS}
 
 
 def _add_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
@@ -46,16 +46,13 @@ def _add_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
 
     dest is the field name and the default None, so a flag overrides its
     field only when given. The type is the field's, Optional[...]
-    unwrapped; a Mode is parsed as its string and a bool is a switch. A
-    field holding a dataclass (RunConfig.model) gets no flag.
+    unwrapped, and a Mode is parsed as its string. A field holding a
+    dataclass (RunConfig.model) gets no flag.
     """
     for name, kind in get_type_hints(cls).items():
         if (names is not None and name not in names) or is_dataclass(kind):
             continue
         flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-        if kind is bool:
-            p.add_argument(flag, dest=name, action="store_true", default=None)
-            continue
         kind = (get_args(kind) or (kind,))[0]  # Optional[X] is Union[X, None]
         p.add_argument(flag, dest=name, type=str if kind is Mode else kind, default=None,
                        choices=_CHOICES.get(name))
@@ -128,10 +125,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_memreport(args: argparse.Namespace) -> int:
     cfg = _run_config_from_args(args)
     config, mode, rank = cfg.model, cfg.mode, cfg.rank
-    mods = memory.Modifiers(**_override({}, args, memory.Modifiers))
     b, s = config.batch_size, config.seq_len
     out = {
-        f"analytic_{model}": memory.analytic_report(config, mode, rank, b, s, mods, model).to_dict()
+        f"analytic_{model}": memory.analytic_report(config, mode, rank, b, s, model).to_dict()
         for model in ("paper_constant", "per_layer_count")
     }
     if args.probe:
@@ -231,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("memreport", help="analytic memory breakdown, optionally measured")
     _add_flags(p, RunConfig, ("mode", "rank", "seed"))
     _add_flags(p, ModelConfig)
-    _add_flags(p, memory.Modifiers)
     p.add_argument("--probe", action="store_true", help="also measure via a real forward")
     p.set_defaults(fn=cmd_memreport)
 

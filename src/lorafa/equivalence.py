@@ -78,8 +78,9 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     Shrinks at the Monte-Carlo rate ~1/sqrt(num_samples); entries of A are
     unit-variance normals.
     """
-    if num_samples < 1:
-        raise ParameterError(f"num_samples must be >= 1, got {num_samples}")
+    for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
     acc = np.zeros((d, d))
     chunk = max(1, min(num_samples, 20000))
     left = num_samples

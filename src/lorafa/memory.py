@@ -31,29 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
 
 from .adapters import Mode, RetainedActivations
 from .errors import DataError, ParameterError, ReconciliationError
 from .model import ModelConfig, Tape, block_layer_specs, count_trainable_formula
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
-WEIGHT_BITS = (16, 8, 4)  # frozen-weight precisions the analytic model prices
-
-
-@dataclass
-class Modifiers:
-    """Analytic-only memory optimizations; defaults model plain 16-bit training."""
-
-    weight_bits: int = 16
-    num_shards: int = 1
-    full_recompute: bool = False
-
-    def __post_init__(self):
-        if self.weight_bits not in WEIGHT_BITS:
-            raise ParameterError(f"weight_bits must be in {WEIGHT_BITS}, got {self.weight_bits}")
-        if self.num_shards < 1:
-            raise ParameterError("num_shards must be >= 1")
 
 
 @dataclass
@@ -64,7 +47,6 @@ class MemoryBreakdown:
     trainable_state_bytes: float
     activation_bytes_linear: float
     activation_bytes_other: float
-    recompute_flops_flag: bool = False
 
     @property
     def total_bytes(self) -> float:
@@ -117,14 +99,10 @@ def analytic_report(
     rank: int,
     b: int,
     s: int,
-    modifiers: Optional[Modifiers] = None,
     activation_model: str = "paper_constant",
 ) -> MemoryBreakdown:
     """Bytes by category for one (mode, geometry, batch) triple.
 
-    Sharding and quantization apply to the frozen weight bytes only;
-    adapter-related state is never sharded. full_recompute zeroes the
-    linear activation term and flags that recompute flops would be paid.
     Every block is alike, so per_layer_count is one block's enumeration
     times n_layers. A byte total beyond the float range is a ParameterError.
     """
@@ -135,7 +113,6 @@ def analytic_report(
     for name, value in (("rank", rank), ("b", b), ("s", s)):
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
-    mods = modifiers or Modifiers()
     if activation_model == "paper_constant":
         full, low = _paper_constant_elements(config, mode, rank, b, s)
     else:
@@ -144,16 +121,14 @@ def analytic_report(
         low = config.n_layers * sum(v["low"] for v in block)
     n = weight_param_count(config)
     state_per_element = 14.0 if "w" in mode.trains else 16.0
-    linear = 0 if mods.full_recompute else (full + low) * BYTES_PER_ELEMENT
     try:
         out = MemoryBreakdown(
             mode=mode.value,
             accounting_bytes_per_element=BYTES_PER_ELEMENT,
-            weight_bytes=2.0 * n * (mods.weight_bits / 16.0) / mods.num_shards,
+            weight_bytes=2.0 * n,
             trainable_state_bytes=state_per_element * count_trainable_formula(config, mode, rank),
-            activation_bytes_linear=float(linear),
+            activation_bytes_linear=float((full + low) * BYTES_PER_ELEMENT),
             activation_bytes_other=0.0,
-            recompute_flops_flag=bool(mods.full_recompute),
         )
         finite = math.isfinite(out.total_bytes)
     except OverflowError:  # an integer count beyond the float range

@@ -8,11 +8,11 @@ else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape: a linear layer's retained inputs, GeLU's
 input and the loss gradient, final layernorm and head arrays go at their
-last read, a block's other arrays once its backward returns. In modes that
-do not retain GeLU's output (lora-fa, frozen), ffn2 runs over blocks of
-ops.ROWS rows (adapters.forward with gelu_into=), adding into the residual
-stream, so neither GeLU's output nor ffn2's is ever whole (Dao et al.,
-arXiv 2205.14135, tile so that no full intermediate exists). So a step's
+last read, a block's other arrays once its backward returns. ffn2 runs
+over blocks of ops.ROWS rows (adapters.forward with gelu_into=), adding
+into the residual stream, so its output is never whole, nor, in modes that
+do not retain it (lora-fa, frozen), is GeLU's output (Dao et al., arXiv
+2205.14135, tile so that no full intermediate exists). So a step's
 peak is the tape plus a few temporaries (Chen et al., arXiv 1604.06174,
 section 3), and the meter counts a tape before backward.
 

@@ -194,7 +194,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     -Inf entries are permitted in the input (attention masking) as long as
     each row keeps at least one finite entry.
     """
-    if x.shape[-1] < 1:
+    if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError("softmax_rows needs a non-empty last dimension")
     m = np.max(x, axis=-1, keepdims=True)
     e = np.subtract(x, m)
@@ -204,8 +204,9 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    if upstream.shape != probs.shape:
-        raise DimensionError(f"softmax_rows_vjp upstream {upstream.shape} vs probs {probs.shape}")
+    if probs.ndim < 1 or upstream.shape != probs.shape:
+        raise DimensionError(f"softmax_rows_vjp needs rows: upstream {upstream.shape} "
+                             f"vs probs {probs.shape}")
     t = np.multiply(upstream, probs)
     dot = np.sum(t, axis=-1, keepdims=True)
     np.subtract(upstream, dot, out=t)
@@ -219,7 +220,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     gamma and beta are per-feature vectors of x's last extent. Returns
     (y, x_hat, inv_std); the latter two are what backward needs.
     """
-    if x.shape[-1] < 1:
+    if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError("layer_norm needs a non-empty last dimension")
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
         raise DimensionError(

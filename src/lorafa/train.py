@@ -30,7 +30,7 @@ from .model import (
 from .rng import RngState, derive
 from .tasks import Dataset, check_task, gen_task
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def dumps_canonical(obj) -> str:

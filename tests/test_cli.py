@@ -13,12 +13,10 @@ from lorafa.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
-    _override,
     _run_config_from_args,
     build_parser,
     main,
 )
-from lorafa.memory import Modifiers
 from lorafa.model import ModelConfig
 from lorafa.train import RunConfig
 
@@ -255,9 +253,6 @@ SURFACE = {
     "memreport": {
         **MODEL_FLAGS,
         **MODE_RANK_SEED_FLAGS,
-        "weight_bits": (["--weight-bits"], int, None, [16, 8, 4]),
-        "num_shards": (["--num-shards"], int, None, None),
-        "full_recompute": (["--full-recompute"], None, None, None),
         "probe": (["--probe"], None, False, None),
     },
     "equiv": {
@@ -297,7 +292,6 @@ def test_memreport_unset_flags_resolve_to_the_run_defaults():
     cfg = _run_config_from_args(args)
     assert (cfg.mode, cfg.rank, cfg.seed) == (Mode.LORA_FA, 8, 0)
     assert cfg.model == ModelConfig(d=64, n_layers=2, n_heads=4, vocab=32, seq_len=16, batch_size=16)
-    assert Modifiers(**_override({}, args, Modifiers)) == Modifiers(16, 1, False)
 
 
 def test_memreport_prints_both_models(capsys):
@@ -312,18 +306,6 @@ def test_memreport_prints_both_models(capsys):
     pc = rep["analytic_paper_constant"]["activation_bytes_linear"]
     plc = rep["analytic_per_layer_count"]["activation_bytes_linear"]
     assert plc == 1.5 * pc
-
-
-def test_memreport_quantization_quarters_weight_bytes(capsys):
-    args = ["memreport", "--mode", "ft", "--d", "32", "--layers", "2",
-            "--heads", "4", "--batch-size", "2", "--seq-len", "8"]
-    _, out16, _ = run_cli(capsys, *args)
-    _, out4, _ = run_cli(capsys, *args, "--weight-bits", "4")
-    r16 = json.loads(out16)["analytic_paper_constant"]
-    r4 = json.loads(out4)["analytic_paper_constant"]
-    assert r4["weight_bytes"] == r16["weight_bytes"] / 4
-    assert r4["trainable_state_bytes"] == r16["trainable_state_bytes"]
-    assert r4["activation_bytes_linear"] == r16["activation_bytes_linear"]
 
 
 def test_memreport_probe_reconciles(capsys):

@@ -88,6 +88,13 @@ def test_unbiasedness_rejects_zero_samples():
         estimate_unbiasedness(8, 4, 0, RngState(5))
 
 
+@pytest.mark.parametrize("d, r", [(0, 4), (4, 0), (-1, 4)])
+def test_unbiasedness_rejects_sizes_below_one(d, r):
+    # d or r of 0 would be a 0/0 NaN, not an error
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        estimate_unbiasedness(d, r, 10, RngState(5))
+
+
 def test_unbiasedness_reference_config():
     err = estimate_unbiasedness(8, 4, 100_000, RngState(5))
     assert err < 0.02

@@ -5,7 +5,6 @@ import pytest
 from lorafa.adapters import Mode
 from lorafa.errors import DataError, ParameterError, ReconciliationError
 from lorafa.memory import (
-    Modifiers,
     analytic_linear_elements,
     analytic_report,
     measured_activation_elements,
@@ -85,39 +84,7 @@ def test_weight_bytes_are_2n():
     assert rep.weight_bytes == 2 * weight_param_count(cfg)
 
 
-# --- modifiers ---------------------------------------------------------------
-
-def test_quantization_divides_only_weight_bytes():
-    cfg = make_cfg()
-    base = analytic_report(cfg, Mode.LORA_FA, 4, 2, 8)
-    q4 = analytic_report(cfg, Mode.LORA_FA, 4, 2, 8, Modifiers(weight_bits=4))
-    assert q4.weight_bytes == base.weight_bytes / 4
-    assert q4.trainable_state_bytes == base.trainable_state_bytes
-    assert q4.activation_bytes_linear == base.activation_bytes_linear
-
-
-def test_sharding_divides_only_weight_bytes():
-    cfg = make_cfg()
-    base = analytic_report(cfg, Mode.LORA, 4, 2, 8)
-    sharded = analytic_report(cfg, Mode.LORA, 4, 2, 8, Modifiers(num_shards=8))
-    assert sharded.weight_bytes == base.weight_bytes / 8
-    assert sharded.trainable_state_bytes == base.trainable_state_bytes  # never sharded
-    assert sharded.activation_bytes_linear == base.activation_bytes_linear
-
-
-def test_full_recompute_zeroes_only_linear_activations():
-    cfg = make_cfg()
-    rep = analytic_report(cfg, Mode.FT, 4, 2, 8, Modifiers(full_recompute=True))
-    assert rep.activation_bytes_linear == 0.0
-    assert rep.recompute_flops_flag
-    assert rep.weight_bytes > 0 and rep.trainable_state_bytes > 0
-
-
 def test_modifier_validation():
-    with pytest.raises(ParameterError):
-        Modifiers(weight_bits=2)
-    with pytest.raises(ParameterError):
-        Modifiers(num_shards=0)
     with pytest.raises(ParameterError):
         analytic_report(make_cfg(), Mode.FT, 1, 1, 1, activation_model="guess")
 
@@ -304,8 +271,8 @@ def test_step_peak_stays_near_the_retained_tape(mode, geometry):
 
 @pytest.mark.parametrize("mode", [Mode.LORA_FA, Mode.FROZEN], ids=lambda m: f"g2-wide-{m.value}")
 def test_row_blocked_ffn2_keeps_the_step_peak_near_the_tape(mode):
-    # Modes that keep no full-width ffn2 input run ffn2 over row blocks, so
-    # forward never holds GeLU's whole output or ffn2's whole product beside
+    # Modes that keep no full-width ffn2 input build GeLU's output per row
+    # block, so forward never holds it or ffn2's whole product beside
     # the tape, and GeLU's input dies at its vjp. What is left over the tape
     # is ffn2's dx in backward and a few blocks: at most 1.25 b*s*d_ff
     # tensors (whole-array GeLU output and product: 1.60 lora-fa, 1.38 frozen).

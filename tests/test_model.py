@@ -440,9 +440,9 @@ def test_backward_leaves_the_tape_unchanged(mode):
         assert arr.tobytes() == before[key], f"{key} changed"
 
 
-# In lora-fa and frozen ffn2 runs over blocks of ops.ROWS of the b*s = 200 rows
-# here: one block, the default (a full block and a ragged one) and 48-row blocks
-# (four and a ragged 8). ft and lora run it whole, whatever ops.ROWS is.
+# ffn2 runs over blocks of ops.ROWS of the b*s = 200 rows here: one block, the
+# default (a full block and a ragged one) and 48-row blocks (four and a ragged 8).
+# ft and lora read their blocks from the whole retained GeLU output.
 ROW_CFG = ModelConfig(d=16, n_layers=2, n_heads=2, vocab=11, seq_len=40, batch_size=5)
 ROW_BLOCKS = [ROW_CFG.batch_size * ROW_CFG.seq_len, ops.ROWS, 48]
 

@@ -129,6 +129,16 @@ def test_layer_norm_standardizes():
     assert np.array_equal(y, x_hat)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ops.layer_norm(np.array(1.0), np.ones(1), np.zeros(1)),
+    lambda: ops.softmax_rows(np.array(1.0)),
+    lambda: ops.softmax_rows_vjp(np.array(1.0), np.array(1.0)),
+], ids=["layer_norm", "softmax_rows", "softmax_rows_vjp"])
+def test_row_ops_reject_a_0d_input(call):
+    with pytest.raises(DimensionError):
+        call()
+
+
 # --- qr --------------------------------------------------------------------
 
 def test_qr_identity():
