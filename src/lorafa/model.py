@@ -14,7 +14,12 @@ into the residual stream, so its output is never whole, nor, in modes that
 do not retain it (lora-fa, frozen), is GeLU's output (Dao et al., arXiv
 2205.14135, tile so that no full intermediate exists). So a step's
 peak is the tape plus a few temporaries (Chen et al., arXiv 1604.06174,
-section 3), and the meter counts a tape before backward.
+section 3), and the meter counts a tape before backward. The tape keeps
+each block's causal attention probabilities packed: the b*h*s(s+1)/2
+entries on and below the diagonal, since the rest are exactly 0, where
+Korthikanti et al. (arXiv 2205.05198, section 4) price the full b*h*s^2
+square. Backward expands them into a zeroed square, bit for bit the
+softmax's output, just before its two reads, so nothing is recomputed.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -24,6 +29,7 @@ no dropout. Bias terms are omitted everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -213,8 +219,10 @@ class BlockCache:
     """One block's retained arrays in forward order; a RetainedActivations
     field carries its layer's block_layer_specs name, the meter's key.
     ln1's stats are None where the block's input gradient is dead, which is
-    how backward knows it. Backward takes out each RetainedActivations, and
-    GeLU's input at its vjp."""
+    how backward knows it. probs holds the causal attention probabilities'
+    lower triangles, (b, h, s(s+1)/2) from _pack_causal. Backward takes out
+    each RetainedActivations, GeLU's input at its vjp and probs where it
+    expands them."""
 
     ln1_xhat: Optional[np.ndarray]
     ln1_inv: Optional[np.ndarray]
@@ -264,6 +272,36 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
+@functools.lru_cache(maxsize=8)
+def _causal(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Causal attention's structure at sequence length s: the (s, s) mask of
+    the future entries, which forward sets to -inf, and the flat indices of
+    the other s(s+1)/2, row by row, which _pack_causal keeps. Read-only."""
+    future = np.triu(np.ones((s, s), dtype=bool), 1)
+    lower = np.flatnonzero(~future)
+    future.flags.writeable = lower.flags.writeable = False
+    return future, lower
+
+
+def _pack_causal(probs: np.ndarray) -> np.ndarray:
+    """The lower triangles of (..., s, s) causal probs, row by row, as a fresh
+    (..., s(s+1)/2) array: softmax makes every future entry exactly +0.0."""
+    s = probs.shape[-1]
+    return np.take(probs.reshape(probs.shape[:-2] + (s * s,)), _causal(s)[1], axis=-1)
+
+
+def _unpack_causal(packed: np.ndarray) -> np.ndarray:
+    """_pack_causal's inverse: the (..., s, s) probs, bit for bit, in a zeroed
+    buffer, one row's slice at a time (a fancy-index scatter costs twice as much)."""
+    s = (math.isqrt(8 * packed.shape[-1] + 1) - 1) // 2
+    probs = np.zeros(packed.shape[:-1] + (s, s))
+    lo = 0
+    for i in range(s):
+        probs[..., i, : i + 1] = packed[..., lo : lo + i + 1]
+        lo += i + 1
+    return probs
+
+
 def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: bool) -> np.ndarray:
     nh = model.config.n_heads
     dh = model.config.d // nh
@@ -279,13 +317,14 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores /= np.sqrt(dh)
-    s_len = x.shape[1]
-    future = np.triu(np.ones((s_len, s_len), dtype=bool), 1)
-    np.copyto(scores, -np.inf, where=future)
+    np.copyto(scores, -np.inf, where=_causal(x.shape[1])[0])
     probs = ops.softmax_rows(scores)
     del scores
+    ctx = _merge_heads(probs @ vh)
+    probs = _pack_causal(probs)
 
-    attn_out, kept_o = adapters.forward(block.attn_o, _merge_heads(probs @ vh))
+    attn_out, kept_o = adapters.forward(block.attn_o, ctx)
+    del ctx
     # Residual adds land in a buffer that nothing retains: attention's in its
     # output's, ffn2's (which runs over row blocks) in that same stream.
     attn_out += x
@@ -428,10 +467,12 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     # x_mid = x_in + attn_o(attention(q, k, v))
     dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads), nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
-    dv = _merge_heads(np.swapaxes(cache.probs, -1, -2) @ dctx_h)
+    probs = _unpack_causal(cache.probs)
+    cache.probs = None
+    dv = _merge_heads(np.swapaxes(probs, -1, -2) @ dctx_h)
     del dctx_h
-    dscores = ops.softmax_rows_vjp(cache.probs, dprobs)
-    del dprobs
+    dscores = ops.softmax_rows_vjp(probs, dprobs)
+    del dprobs, probs
     dscores /= np.sqrt(model.config.d // nh)
     dq = _merge_heads(dscores @ cache.kh)
     dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ cache.qh)

@@ -2,12 +2,16 @@
 
 Values are float64 numpy arrays, as every array lorafa builds is; the
 kernels allocate results and scratch in float64. Every operation validates
-shapes up front. Backward rules are paired ``*_vjp`` functions taking
-exactly the tensors the forward pass retained; the gradient-check harness
-pairs each with its forward op. NaN/Inf is an error state (NumericsError),
-caught where a value crosses the step boundary: ``matmul`` checks every
-product, which each kernel's output reaches before the loss, and ``qr``,
-``qr_pivoted`` and ``numerical_rank`` what LAPACK takes or gives.
+shapes up front; an operand that is not a numpy array (a list, a float)
+has no shape to check, which is a DimensionError too. Backward rules are
+paired ``*_vjp`` functions taking exactly the tensors the forward pass
+retained; the gradient-check harness pairs each with its forward op.
+NaN/Inf is an error state (NumericsError), caught where a value crosses
+the step boundary: ``matmul`` checks every product, which each kernel's
+output reaches before the loss, and ``qr``, ``qr_pivoted`` and
+``numerical_rank`` what LAPACK takes or gives. The kernels compute through
+NaN/Inf, with numpy's RuntimeWarning; a caller that turns warnings into
+errors gets a NumericsError instead.
 
 No operation writes into its arguments: the tape retains forward inputs
 and outputs for backward. The one exception is ``gelu_vjp``'s ``out=``,
@@ -26,6 +30,7 @@ array, and their arrays are small enough to stay cached.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -57,6 +62,32 @@ RANK_REL_TOL = 1e-8
 LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 
 
+def _op(fn):
+    """fn as an op: its positional arguments are its operands, and one that
+    is not a numpy array is a DimensionError (a list has no shape to check);
+    numpy's floating-point warning (NaN/Inf met or made), raised as an
+    exception where the caller's warnings filter says so, is a
+    NumericsError. A try costs nothing until it catches; an np.errstate that
+    silenced the warning instead would cost 0.6 us a call (numpy 2.4), 7% of
+    the benchmark's verify pass on a 2-vCPU VM."""
+    @functools.wraps(fn)
+    def op(*operands, **options):
+        for x in operands:
+            if not isinstance(x, np.ndarray):
+                raise DimensionError(f"{fn.__name__} takes numpy arrays, got {type(x).__name__}")
+        try:
+            return fn(*operands, **options)
+        except RuntimeWarning as exc:
+            raise NumericsError(f"{fn.__name__}: {exc}") from exc
+    return op
+
+
+def _rows(op: str, x: np.ndarray) -> None:
+    """DimensionError unless x has a last dimension of at least one element."""
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise DimensionError(f"{op} needs a non-empty last dimension")
+
+
 def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
     # The sum is NaN/Inf-propagating and cheaper than isfinite().all(), which
     # decides only when the sum is not finite: finite values can overflow it.
@@ -71,6 +102,7 @@ def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
     return x
 
 
+@_op
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of a (..., k) activation and a 2-d (k, n) weight.
 
@@ -93,6 +125,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ensure_finite(out, "matmul")
 
 
+@_op
 def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
     """d(a @ b) for ``matmul``: da = upstream @ b^T, db = a^T @ upstream.
 
@@ -104,7 +137,8 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
     if b.ndim == 2 and (a.shape[-1:] != b.shape[:1] or upstream.shape != product):
         raise DimensionError(f"matmul_vjp shapes: {a.shape} x {b.shape}, upstream {upstream.shape}")
     da = matmul(upstream, b.T)
-    db = a.reshape(-1, a.shape[-1]).T @ upstream.reshape(-1, upstream.shape[-1])
+    rows = math.prod(a.shape[:-1])
+    db = a.reshape(rows, a.shape[-1]).T @ upstream.reshape(rows, upstream.shape[-1])
     return da, db
 
 
@@ -166,6 +200,7 @@ def _gelu_vjp_kernel(x, upstream, out, x2, w, t, s):
     np.multiply(w, upstream, out)
 
 
+@_op
 def gelu(x: np.ndarray) -> np.ndarray:
     """GeLU, tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))."""
     out = np.empty(x.shape)
@@ -173,29 +208,30 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu_vjp(x: np.ndarray, upstream: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+@_op
+def gelu_vjp(x: np.ndarray, upstream: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """d gelu(x) * upstream, into a fresh array or into ``out``, which may be
     ``upstream`` (a dead gradient the caller hands over) and must be a
     C-contiguous array of x's shape."""
     # d/dx [0.5 x (1+t)] = 0.5 (1+t) + 0.5 x (1-t^2) * c (1 + 3a x^2)
     if out is None:
         out = np.empty(x.shape)
-    elif out.shape != x.shape or not out.flags.c_contiguous:
+    elif not isinstance(out, np.ndarray) or out.shape != x.shape or not out.flags.c_contiguous:
         raise DimensionError(f"gelu_vjp out must be a C-contiguous {x.shape} array")
-    if np.shape(upstream) != x.shape:
-        raise DimensionError(f"gelu_vjp upstream {np.shape(upstream)} vs x {x.shape}")
+    if upstream.shape != x.shape:
+        raise DimensionError(f"gelu_vjp upstream {upstream.shape} vs x {x.shape}")
     _blockwise(_gelu_vjp_kernel, (x, upstream, out), 4)
     return out
 
 
+@_op
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last dimension, max-subtracted for stability.
 
     -Inf entries are permitted in the input (attention masking) as long as
     each row keeps at least one finite entry.
     """
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise DimensionError("softmax_rows needs a non-empty last dimension")
+    _rows("softmax_rows", x)
     m = np.max(x, axis=-1, keepdims=True)
     e = np.subtract(x, m)
     np.exp(e, out=e)
@@ -203,6 +239,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
+@_op
 def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     if probs.ndim < 1 or upstream.shape != probs.shape:
         raise DimensionError(f"softmax_rows_vjp needs rows: upstream {upstream.shape} "
@@ -214,14 +251,14 @@ def softmax_rows_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return t
 
 
+@_op
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize rows (last dim) to mean 0 / variance 1, then affine.
 
     gamma and beta are per-feature vectors of x's last extent. Returns
     (y, x_hat, inv_std); the latter two are what backward needs.
     """
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise DimensionError("layer_norm needs a non-empty last dimension")
+    _rows("layer_norm", x)
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
         raise DimensionError(
             f"layer_norm gamma {gamma.shape} and beta {beta.shape} must be {x.shape[-1:]}"
@@ -238,11 +275,13 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return y, x_hat, inv_std
 
 
+@_op
 def layer_norm_vjp(
     x_hat: np.ndarray,
     inv_std: np.ndarray,
     gamma: np.ndarray,
     upstream: np.ndarray,
+    *,
     param_grads: bool = True,
 ):
     """Gradients (dx, dgamma, dbeta) for layer_norm, from its x_hat and inv_std.
@@ -250,6 +289,7 @@ def layer_norm_vjp(
     With param_grads false, gamma and beta are frozen: dgamma and dbeta are
     not computed and come back as None.
     """
+    _rows("layer_norm_vjp", x_hat)
     if (
         upstream.shape != x_hat.shape
         or gamma.shape != x_hat.shape[-1:]
@@ -281,6 +321,7 @@ def _apply_reflector(v: np.ndarray, block: np.ndarray) -> None:
     block -= 2.0 * (v[:, None] * (v @ block))  # np.outer(v, v @ block), inlined
 
 
+@_op
 def qr(m: np.ndarray):
     """Reduced QR of a d x r matrix (d >= r) by LAPACK: m = q @ rr.
 
@@ -298,6 +339,7 @@ def qr(m: np.ndarray):
     return ensure_finite(q, "qr"), ensure_finite(rr, "qr")
 
 
+@_op
 def qr_pivoted(m: np.ndarray):
     """Column-pivoted Householder QR: m[:, perm] = q @ rr.
 
@@ -340,6 +382,7 @@ def qr_pivoted(m: np.ndarray):
     return ensure_finite(q, "qr_pivoted"), ensure_finite(rr, "qr_pivoted"), perm
 
 
+@_op
 def numerical_rank(m: np.ndarray) -> int:
     """Count singular values above RANK_REL_TOL * ||m||_F (LAPACK, values only);
     a NaN/Inf entry is a NumericsError. The norm is taken of m divided by the

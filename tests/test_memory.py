@@ -208,8 +208,9 @@ def test_meter_other_elements_closed_form(mode):
     cfg = make_cfg(d=d, L=L, heads=h, vocab=vocab, s=s, b=b)
     bsd, bs = b * s * d, b * s
     # per block: two layer norms (x_hat, inv_std), q/k/v heads, attention
-    # probabilities, GeLU input; then the final layer norm and loss softmax
-    per_block = 2 * (bsd + bs) + 3 * bsd + b * h * s * s + b * s * cfg.d_ff
+    # probabilities (each head's lower triangle), GeLU input; then the final
+    # layer norm and loss softmax
+    per_block = 2 * (bsd + bs) + 3 * bsd + b * h * s * (s + 1) // 2 + b * s * cfg.d_ff
     other = L * per_block + bsd + bs + b * s * vocab
     if mode is Mode.FT:
         other += bsd  # the tied head's input, kept to train the embedding

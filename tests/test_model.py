@@ -12,7 +12,9 @@ from lorafa.model import (
     ModelConfig,
     Tape,
     _merge_heads,
+    _pack_causal,
     _split_heads,
+    _unpack_causal,
     backward,
     build_model,
     count_trainable,
@@ -185,8 +187,13 @@ def _ref_block_backward(model, block, cache, dx, grads, pre):
     dx_mid += dx
     dctx_h = _split_heads(linear("attn_o", dx_mid), nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
-    dvh = np.swapaxes(cache.probs, -1, -2) @ dctx_h
-    dscores = ops.softmax_rows_vjp(cache.probs, dprobs)
+    # The tape holds each (s, s) probs' lower triangle, row by row.
+    s = cache.kh.shape[-2]
+    probs = np.zeros(cache.probs.shape[:-1] + (s, s))
+    rows, cols = np.tril_indices(s)
+    probs[..., rows, cols] = cache.probs
+    dvh = np.swapaxes(probs, -1, -2) @ dctx_h
+    dscores = ops.softmax_rows_vjp(probs, dprobs)
     dscores /= np.sqrt(dh)
     dqh = dscores @ cache.kh
     dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
@@ -490,11 +497,26 @@ def test_retained_products_own_their_memory(mode):
     _, tape = forward_loss(m, *data(8))
     owned = {
         key: arr for key, arr in tape_arrays(tape).items()
-        if key.endswith((".x_low", ".gelu_in"))
+        if key.endswith((".x_low", ".gelu_in", ".probs"))
     }
-    assert len(owned) == CFG.n_layers * (7 if mode.has_adapter else 1)
+    assert len(owned) == CFG.n_layers * (8 if mode.has_adapter else 2)
     for key, arr in owned.items():
         assert arr.base is None, f"{key} is a view"
+    b, h, s = CFG.batch_size, CFG.n_heads, CFG.seq_len
+    for i in range(CFG.n_layers):
+        assert owned[f"block{i}.probs"].size == b * h * s * (s + 1) // 2
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 64])
+def test_packed_causal_probs_unpack_bit_for_bit(s):
+    scores = randn((3, 2, s, s), RngState(s)) * 4.0
+    rows, cols = np.triu_indices(s, 1)
+    scores[..., rows, cols] = -np.inf  # forward's causal mask
+    probs = ops.softmax_rows(scores)
+    packed = _pack_causal(probs)
+    assert packed.shape == (3, 2, s * (s + 1) // 2) and packed.base is None
+    unpacked = _unpack_causal(packed)
+    assert unpacked.shape == probs.shape and unpacked.tobytes() == probs.tobytes()
 
 
 def tape_arrays(tape) -> dict:

@@ -139,6 +139,27 @@ def test_row_ops_reject_a_0d_input(call):
         call()
 
 
+def test_layer_norm_vjp_rejects_rows_of_width_0():
+    # as layer_norm does, instead of a "Mean of empty slice" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="non-empty last dimension"):
+            ops.layer_norm_vjp(np.zeros((2, 0)), np.ones((2, 1)), np.ones(0), np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ops.matmul([[1.0]], np.ones((1, 1))),
+    lambda: ops.gelu([1.0, 2.0]),
+    lambda: ops.gelu_vjp(np.ones(2), [1.0, 2.0]),
+    lambda: ops.softmax_rows([1.0, 2.0]),
+    lambda: ops.softmax_rows_vjp(np.ones(2), [1.0, 2.0]),
+    lambda: ops.layer_norm([1.0, 2.0], np.ones(2), np.zeros(2)),
+], ids=["matmul", "gelu", "gelu_vjp", "softmax_rows", "softmax_rows_vjp", "layer_norm"])
+def test_ops_reject_a_list(call):
+    with pytest.raises(DimensionError, match="takes numpy arrays, got list"):
+        call()
+
+
 # --- qr --------------------------------------------------------------------
 
 def test_qr_identity():
