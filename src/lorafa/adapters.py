@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import DimensionError, ModeError, ParameterError, RetentionPolicyError
+from .errors import (DimensionError, ModeError, NumericsError, ParameterError,
+                     RetentionPolicyError)
 from .ops import matmul
 from .rng import RngState, randn
 
@@ -182,6 +183,14 @@ def init_adapter(
     return AdaptedLinear(w, a, b, rank, alpha, mode)
 
 
+def _check_extent(what: str, x, extent: int) -> None:
+    """DimensionError unless x is a numpy array whose last extent is the given one."""
+    if not isinstance(x, np.ndarray) or x.ndim < 1 or x.shape[-1] != extent:
+        raise DimensionError(f"{what} must be a (..., {extent}) array, "
+                             f"got {getattr(x, 'shape', type(x).__name__)}")
+
+
+@ops.numerics
 def forward(layer: AdaptedLinear, x: np.ndarray, gelu_into: Optional[np.ndarray] = None):
     """y = x (W + alpha A B), plus x@A in adapter modes; returns (y, kept).
 
@@ -189,10 +198,7 @@ def forward(layer: AdaptedLinear, x: np.ndarray, gelu_into: Optional[np.ndarray]
     GeLU(x) instead, and its product is added into gelu_into, which is
     returned as y (see _forward_gelu_into).
     """
-    if x.shape[-1] != layer.d_in:
-        raise DimensionError(
-            f"input trailing extent {x.shape[-1]} != d_in {layer.d_in}"
-        )
+    _check_extent("input", x, layer.d_in)
     if gelu_into is not None:
         return gelu_into, _forward_gelu_into(layer, x, gelu_into)
     y = matmul(x, _merged(layer))
@@ -214,9 +220,10 @@ def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> 
     is y + out bit for bit), so it must be C-contiguous, for its rows to be
     views, and retained by nothing.
     """
-    if out.shape != x.shape[:-1] + (layer.d_out,) or not out.flags.c_contiguous:
+    if (not isinstance(out, np.ndarray) or out.shape != x.shape[:-1] + (layer.d_out,)
+            or not out.flags.c_contiguous):
         raise DimensionError(f"forward gelu_into must be a C-contiguous {x.shape[:-1]} x "
-                             f"{layer.d_out} array, got {out.shape}")
+                             f"{layer.d_out} array, got {getattr(out, 'shape', type(out).__name__)}")
     w = _merged(layer)
     x_full = ops.gelu(x) if layer.mode.retains_full_input else None
     x_low = np.empty(x.shape[:-1] + (layer.rank,)) if layer.mode.has_adapter else None
@@ -254,24 +261,33 @@ def backward(
 ):
     """Input gradient plus exactly the mode's trainable-parameter gradients.
 
-    dx = dy (W + alpha A B)^T, rebuilt from the A and B forward used, so
-    nothing but the mode's activations is retained. With input_grad false
-    nothing below the layer trains, dx is dead: neither it nor the merged
-    weight is built, and None comes back in its place. Parameter
-    gradients fold the leading dims without averaging (loss normalization
-    owns averaging):
+    The parameter gradients come first, and then kept, which they read last,
+    is dropped: a caller that hands its only reference over frees the
+    retained activations before dx and the merged weight exist, and one that
+    keeps kept may reuse it. dx = dy (W + alpha A B)^T, rebuilt from the A
+    and B forward used, so nothing but the mode's activations is retained.
+    With input_grad false nothing below the layer trains, dx is dead:
+    neither it nor the merged weight is built, and None comes back in its
+    place. Parameter gradients fold the leading dims without averaging
+    (loss normalization owns averaging):
       ft:      dW = x^T dy
       lora:    dA = alpha * x^T (dy B^T),  dB = alpha * (x A)^T dy
       lora-fa: dB only, computed from the retained x@A; the full input is
                never touched (and is not there to touch).
+    dy must share its leading dims with the retained activations. numpy's
+    floating-point warning is a NumericsError, as in ops.numerics, whose
+    wrapper frame would hold kept until dx exists.
     """
-    if dy.shape[-1] != layer.d_out:
-        raise DimensionError(
-            f"upstream trailing extent {dy.shape[-1]} != d_out {layer.d_out}"
-        )
-    dx = matmul(dy, _merged(layer).T) if input_grad else None
+    _check_extent("upstream", dy, layer.d_out)
+    if any(x is not None and x.shape[:-1] != dy.shape[:-1] for x in (kept._x_full, kept._x_low)):
+        raise DimensionError(f"upstream {dy.shape} differs from the retained input in its leading dims")
     dy2 = _fold(dy)
-    grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}
+    try:
+        grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}
+        del kept
+        dx = matmul(dy, _merged(layer).T) if input_grad else None
+    except RuntimeWarning as exc:
+        raise NumericsError(f"backward: {exc}") from exc
     return dx, grads
 
 
@@ -283,6 +299,7 @@ _GRADIENTS = {
 }
 
 
+@ops.numerics
 def merge(layer: AdaptedLinear) -> np.ndarray:
     """Fold the adapter into a dense weight: W + alpha * A @ B. Pure."""
     if not layer.mode.has_adapter:

@@ -135,6 +135,10 @@ def cmd_memreport(args: argparse.Namespace) -> int:
         rng = derive(RngState(cfg.seed), "memreport-probe")
         tokens = randint(rng, 0, config.vocab, (b, s))
         targets = randint(rng, 0, config.vocab, (b, s))
+        # One untraced step first, so that the traced one meets the caches and
+        # free lists of a process that has stepped, as the benchmark's gate
+        # does, and its peak repeats to the byte between processes.
+        backward(m, forward_loss(m, tokens, targets)[1])
         tracemalloc.start()  # this process's allocations during one forward + backward
         try:
             _, tape = forward_loss(m, tokens, targets)

@@ -8,7 +8,11 @@ else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape: a linear layer's retained inputs, GeLU's
 input and the loss gradient, final layernorm and head arrays go at their
-last read, a block's other arrays once its backward returns. ffn2 runs
+last read, a block's other arrays once its backward returns. Last reads
+come first where the order is free: each linear builds its parameter
+gradients, which read its retained inputs last, before its merged weight
+and dx; each layer norm's vjp takes dgamma/dbeta from its upstream and
+then builds dx in it; both residual adds land in the stream. ffn2 runs
 over blocks of ops.ROWS rows (adapters.forward with gelu_into=), adding
 into the residual stream, so its output is never whole, nor, in modes that
 do not retain it (lora-fa, frozen), is GeLU's output (Dao et al., arXiv
@@ -240,6 +244,12 @@ class BlockCache:
     gelu_in: Optional[np.ndarray]
     ffn2: RetainedActivations
 
+    def take(self, name: str):
+        """The named field's value, which the cache then no longer holds."""
+        value = getattr(self, name)
+        setattr(self, name, None)
+        return value
+
 
 @dataclass
 class Tape:
@@ -325,10 +335,11 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
 
     attn_out, kept_o = adapters.forward(block.attn_o, ctx)
     del ctx
-    # Residual adds land in a buffer that nothing retains: attention's in its
-    # output's, ffn2's (which runs over row blocks) in that same stream.
-    attn_out += x
-    x = attn_out
+    # Residual adds land in the stream x, which nothing retains and which the
+    # caller still holds: attention's (x + y is y + x bit for bit), and
+    # ffn2's, which runs over row blocks.
+    x += attn_out
+    del attn_out
 
     h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     f1, kept_f1 = adapters.forward(block.ffn1, h2)
@@ -372,6 +383,7 @@ def _forward(model: TransformerModel, tokens: np.ndarray):
         # live", only in ft or if i > 0: nothing below block 0 trains outside ft.
         x = _block_forward(model, block, x, tape, model.mode.trains_dense or i > 0)
     h, tape.lnf_xhat, tape.lnf_inv = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
+    del x
     if model.mode.trains_dense:
         # Tied head: h is needed for the embedding gradient only when training it.
         tape.head_input = h
@@ -425,21 +437,22 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
 
 def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads,
                      input_grad: bool = True):
-    """One adapted linear's backward: files its parameter gradients under id()
-    of their tensor, returns its dx, and drops its retained activations."""
-    kept = getattr(cache, name)
-    setattr(cache, name, None)
+    """One adapted linear's backward: hands its retained activations over to
+    adapters.backward, so they die once its parameter gradients exist, before
+    its dx is built; files those gradients under id() of their tensor and
+    returns its dx."""
     layer = getattr(block, name)
-    dx, layer_grads = adapters.backward(layer, kept, dy, input_grad)
+    dx, layer_grads = adapters.backward(layer, cache.take(name), dy, input_grad)
     for tensor, g in layer_grads.items():
         grads[id(getattr(layer, tensor))] = g
     return dx
 
 
 def _layer_norm_backward(model, dx, x_hat, inv, gamma, beta, dy, grads) -> None:
-    """Adds a block layer norm's input gradient into the stream gradient dx in place."""
+    """Adds a block layer norm's input gradient into the stream gradient dx in
+    place; dy, the norm's dead upstream, takes the vjp's dx first."""
     dense = model.mode.trains_dense
-    dx_ln, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense)
+    dx_ln, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense, out=dy)
     dx += dx_ln
     if dense:
         grads[id(gamma)] = dg
@@ -456,8 +469,7 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid)))); GeLU's vjp overwrites
     # ffn2's dx, which it reads last, and is the last read of GeLU's input.
     df1 = _linear_backward(block, cache, "ffn2", dx, grads)
-    df1 = ops.gelu_vjp(cache.gelu_in, df1, out=df1)
-    cache.gelu_in = None
+    df1 = ops.gelu_vjp(cache.take("gelu_in"), df1, out=df1)
     dh2 = _linear_backward(block, cache, "ffn1", df1, grads)
     del df1
     _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,
@@ -467,8 +479,7 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     # x_mid = x_in + attn_o(attention(q, k, v))
     dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads), nh)
     dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
-    probs = _unpack_causal(cache.probs)
-    cache.probs = None
+    probs = _unpack_causal(cache.take("probs"))
     dv = _merge_heads(np.swapaxes(probs, -1, -2) @ dctx_h)
     del dctx_h
     dscores = ops.softmax_rows_vjp(probs, dprobs)
@@ -520,10 +531,10 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
         tape.head_input = None
     del dlogits
     dx, dgf, dbf = ops.layer_norm_vjp(
-        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense
+        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense, out=dh
     )
     tape.lnf_xhat = tape.lnf_inv = None
-    del dh
+    del dh  # dx's buffer, which the blocks own from here
     if dense:
         grads[id(model.lnf_gamma)] = dgf
         grads[id(model.lnf_beta)] = dbf

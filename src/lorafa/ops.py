@@ -14,18 +14,21 @@ NaN/Inf, with numpy's RuntimeWarning; a caller that turns warnings into
 errors gets a NumericsError instead.
 
 No operation writes into its arguments: the tape retains forward inputs
-and outputs for backward. The one exception is ``gelu_vjp``'s ``out=``,
-which a caller may point at a dead gradient, upstream included. The
-elementwise kernels (GeLU, layer norm, softmax) write each intermediate
-into a buffer they allocated themselves, with ``out=``, applying the same
-operations in the same order and association as the plain numpy
-expression, so results are bit for bit the same. GeLU and its vjp, whose
-chains of a dozen passes over a multi-MB activation would otherwise stream
-through memory, run over flat blocks of ``BLOCK`` elements sized to stay in
-L2; inputs up to one block take a single pass. Layer norm and softmax are
-not blocked: their row reductions (and the whole-array column sums of
-dgamma/dbeta, whose summation order blocking would change) see the whole
-array, and their arrays are small enough to stay cached.
+and outputs for backward. The two exceptions are the ``out=`` of
+``gelu_vjp`` and of ``layer_norm_vjp``, which a caller may point at a dead
+gradient, upstream included; neither writes into anything unless a caller
+passes one. The elementwise kernels (GeLU, layer norm, softmax) write each
+intermediate into a buffer they allocated themselves, with ``out=``,
+applying the same operations in the same order and association as the
+plain numpy expression, so results are bit for bit the same. GeLU and its
+vjp, whose chains of a dozen passes over a multi-MB activation would
+otherwise stream through memory, run over flat blocks sized to stay in L2:
+a kernel's scratch rows total ``BLOCK`` elements, so gelu_vjp's four rows
+take BLOCK // 4 elements of each operand per pass; inputs up to one pass
+take a single one. Layer norm and softmax are not blocked: their row
+reductions (and the whole-array column sums of dgamma/dbeta, whose
+summation order blocking would change) see the whole array, and their
+arrays are small enough to stay cached.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .errors import DimensionError, NumericsError
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
-# Elements per pass of the blocked GeLU kernels: 16,384 float64 values are
-# 128 KB, so one block of each operand and scratch row stays in a core's L2.
+# Scratch elements of a blocked GeLU kernel, all its rows together: 16,384
+# float64 values are 128 KB, so one pass's operands and scratch stay in a
+# core's L2, and no kernel holds more scratch than that.
 BLOCK = 16_384
 
 # Rows per block of the row-blocked ffn2 forward (adapters.forward with
@@ -62,24 +66,31 @@ RANK_REL_TOL = 1e-8
 LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 
 
-def _op(fn):
-    """fn as an op: its positional arguments are its operands, and one that
-    is not a numpy array is a DimensionError (a list has no shape to check);
-    numpy's floating-point warning (NaN/Inf met or made), raised as an
-    exception where the caller's warnings filter says so, is a
+def _op(fn, arrays: bool = True):
+    """fn as an op: its positional arguments are its operands, and (with
+    arrays) one that is not a numpy array is a DimensionError (a list has no
+    shape to check); numpy's floating-point warning (NaN/Inf met or made),
+    raised as an exception where the caller's warnings filter says so, is a
     NumericsError. A try costs nothing until it catches; an np.errstate that
     silenced the warning instead would cost 0.6 us a call (numpy 2.4), 7% of
     the benchmark's verify pass on a 2-vCPU VM."""
     @functools.wraps(fn)
     def op(*operands, **options):
-        for x in operands:
-            if not isinstance(x, np.ndarray):
-                raise DimensionError(f"{fn.__name__} takes numpy arrays, got {type(x).__name__}")
+        if arrays:
+            for x in operands:
+                if not isinstance(x, np.ndarray):
+                    raise DimensionError(f"{fn.__name__} takes numpy arrays, got {type(x).__name__}")
         try:
             return fn(*operands, **options)
         except RuntimeWarning as exc:
             raise NumericsError(f"{fn.__name__}: {exc}") from exc
     return op
+
+
+def numerics(fn):
+    """fn with numpy's floating-point warning as a NumericsError, as for an op,
+    for a function whose operands are not all arrays and that checks them itself."""
+    return _op(fn, arrays=False)
 
 
 def _rows(op: str, x: np.ndarray) -> None:
@@ -145,18 +156,20 @@ def matmul_vjp(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
 def _blockwise(kernel, arrays: tuple, n_scratch: int) -> None:
     """Run ``kernel(*arrays, *scratch)`` over aligned pieces of same-shape arrays.
 
-    Up to BLOCK elements that is one call on the whole arrays; above it, one
-    call per flat block of BLOCK elements, all blocks sharing n_scratch
-    scratch rows, so a kernel's chain of in-place ufuncs stays in cache.
+    The n_scratch scratch rows total BLOCK elements, BLOCK // n_scratch each.
+    Up to that many elements that is one call on the whole arrays; above it,
+    one call per flat block of that many, all blocks sharing the scratch rows,
+    so a kernel's chain of in-place ufuncs stays in cache.
     """
+    step = BLOCK // n_scratch
     n = arrays[0].size
-    if n <= BLOCK:
+    if n <= step:
         kernel(*arrays, *[np.empty(arrays[0].shape) for _ in range(n_scratch)])
         return
     flat = [a.reshape(-1) for a in arrays]
-    scratch = [np.empty(BLOCK) for _ in range(n_scratch)]
-    for lo in range(0, n, BLOCK):
-        k = min(BLOCK, n - lo)
+    scratch = [np.empty(step) for _ in range(n_scratch)]
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
         kernel(*[f[lo : lo + k] for f in flat], *[s[:k] for s in scratch])
 
 
@@ -214,14 +227,20 @@ def gelu_vjp(x: np.ndarray, upstream: np.ndarray, *, out: Optional[np.ndarray] =
     ``upstream`` (a dead gradient the caller hands over) and must be a
     C-contiguous array of x's shape."""
     # d/dx [0.5 x (1+t)] = 0.5 (1+t) + 0.5 x (1-t^2) * c (1 + 3a x^2)
-    if out is None:
-        out = np.empty(x.shape)
-    elif not isinstance(out, np.ndarray) or out.shape != x.shape or not out.flags.c_contiguous:
-        raise DimensionError(f"gelu_vjp out must be a C-contiguous {x.shape} array")
+    _check_out("gelu_vjp", out, x.shape)
     if upstream.shape != x.shape:
         raise DimensionError(f"gelu_vjp upstream {upstream.shape} vs x {x.shape}")
+    if out is None:
+        out = np.empty(x.shape)
     _blockwise(_gelu_vjp_kernel, (x, upstream, out), 4)
     return out
+
+
+def _check_out(op: str, out: Optional[np.ndarray], shape: tuple) -> None:
+    """DimensionError unless out is None or a C-contiguous array of the given shape."""
+    if out is not None and (not isinstance(out, np.ndarray) or out.shape != shape
+                            or not out.flags.c_contiguous):
+        raise DimensionError(f"{op} out must be a C-contiguous {shape} array")
 
 
 @_op
@@ -283,11 +302,14 @@ def layer_norm_vjp(
     upstream: np.ndarray,
     *,
     param_grads: bool = True,
+    out: Optional[np.ndarray] = None,
 ):
     """Gradients (dx, dgamma, dbeta) for layer_norm, from its x_hat and inv_std.
 
     With param_grads false, gamma and beta are frozen: dgamma and dbeta are
-    not computed and come back as None.
+    not computed and come back as None. dx goes into a fresh array or into
+    ``out``, which may be ``upstream`` (a dead gradient the caller hands
+    over) and must be a C-contiguous array of x_hat's shape.
     """
     _rows("layer_norm_vjp", x_hat)
     if (
@@ -299,21 +321,23 @@ def layer_norm_vjp(
             f"layer_norm_vjp shapes differ: x_hat {x_hat.shape}, inv_std {inv_std.shape}, "
             f"gamma {gamma.shape}, upstream {upstream.shape}"
         )
+    _check_out("layer_norm_vjp", out, x_hat.shape)
     dxhat = np.multiply(upstream, gamma)
+    dgamma = dbeta = None
+    if param_grads:
+        # upstream's last reads, before out may take the product and then dx.
+        axes = tuple(range(x_hat.ndim - 1))
+        dbeta = np.sum(upstream, axis=axes)
+        dgamma = np.sum(np.multiply(upstream, x_hat, out=out), axis=axes)
     mean_dxhat = np.mean(dxhat, axis=-1, keepdims=True)
     # dx = inv_std * ((dxhat - mean(dxhat)) - x_hat * mean(dxhat * x_hat)), built
-    # in the buffer of dxhat * x_hat.
-    dx = np.multiply(dxhat, x_hat)
+    # in out or in the buffer of dxhat * x_hat.
+    dx = np.multiply(dxhat, x_hat, out=out)
     mean_dxhat_xhat = np.mean(dx, axis=-1, keepdims=True)
     np.multiply(x_hat, mean_dxhat_xhat, out=dx)
     dxhat -= mean_dxhat
     np.subtract(dxhat, dx, out=dx)
     np.multiply(inv_std, dx, out=dx)
-    if not param_grads:
-        return dx, None, None
-    axes = tuple(range(x_hat.ndim - 1))
-    dgamma = np.sum(np.multiply(upstream, x_hat, out=dxhat), axis=axes)
-    dbeta = np.sum(upstream, axis=axes)
     return dx, dgamma, dbeta
 
 

@@ -104,6 +104,24 @@ def test_forward_shape_error():
         adapters.forward(layer, np.ones((2, 4)))
 
 
+def _kept(layer):
+    return adapters.forward(layer, np.ones((2, 6)))[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda layer: adapters.forward(layer, [[1.0] * 6]),
+    lambda layer: adapters.forward(layer, np.array(1.0)),
+    lambda layer: adapters.forward(layer, np.ones((2, 6)), gelu_into=[[0.0] * 5] * 2),
+    lambda layer: adapters.backward(layer, _kept(layer), [[1.0] * 5] * 2),
+    lambda layer: adapters.backward(layer, _kept(layer), np.ones((3, 5))),
+], ids=["forward-list", "forward-0d", "stream-list", "backward-list", "backward-leading-dims"])
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_bad_operands_are_dimension_errors(mode, call):
+    # not numpy's AttributeError, IndexError or ValueError
+    with pytest.raises(DimensionError):
+        call(make_layer(mode))
+
+
 @pytest.mark.parametrize("out", [np.zeros((2, 4)), np.zeros((2, 10))[:, ::2]],
                          ids=["shape", "strided"])
 def test_forward_into_a_stream_rejects_a_bad_out(out):

@@ -336,6 +336,22 @@ def test_memreport_probe_prints_retained_and_step_peak_bytes(capsys, mode):
     assert rep["step_peak_bytes"] >= rep["retained_bytes"] > 0
 
 
+def test_memreport_probe_peak_repeats_between_processes():
+    # The probe runs one untraced step before it opens its tracemalloc
+    # window, so what a fresh process allocated first (caches, free lists)
+    # does not move the traced step's peak.
+    import lorafa
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lorafa.__file__)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    peaks = set()
+    for _ in range(3):
+        run = subprocess.run([sys.executable, "-m", "lorafa.cli", "memreport", "--probe"],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        peaks.add(json.loads(run.stdout)["step_peak_bytes"])
+    assert len(peaks) == 1 and peaks.pop() > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--d", "0", "--rank", "0"],
     ["--layers", "0"],

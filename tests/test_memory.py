@@ -260,14 +260,18 @@ def step_peak_over_tape(mode, geometry) -> float:
     return (peak - retained) / unit
 
 
+# Most a step's peak may hold beyond the tape, in (b, s, max(d, d_ff)) float64
+# tensors. Measured: ft 0.32 / 0.30, lora 0.53 / 0.42, lora-fa 1.12 / 1.11
+# (parity / g2-wide).
+PEAK_OVER_TAPE = {Mode.FT: 0.5, Mode.LORA: 0.75, Mode.LORA_FA: 1.25}
+
+
 @pytest.mark.parametrize("mode, geometry", PEAK_CASES)
 def test_step_peak_stays_near_the_retained_tape(mode, geometry):
-    # The tracemalloc peak of one forward_loss + backward may exceed the
-    # meter's retained bytes by at most 2.5 (b, s, max(d, d_ff)) float64
-    # tensors. Backward consumes the tape as it goes and writes GeLU's vjp
-    # over ffn2's dx; holding the tape until backward returns, or a second
-    # b*s*d_ff buffer for the vjp, costs more.
-    assert step_peak_over_tape(mode, geometry) <= 2.5
+    # Backward consumes the tape as it goes, so the peak is the tape plus a
+    # few live temporaries. In ft and lora, holding ffn2's retained input
+    # (GeLU's whole output) until ffn2's dx exists breaks the bound.
+    assert step_peak_over_tape(mode, geometry) <= PEAK_OVER_TAPE[mode]
 
 
 @pytest.mark.parametrize("mode", [Mode.LORA_FA, Mode.FROZEN], ids=lambda m: f"g2-wide-{m.value}")

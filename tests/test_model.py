@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -278,6 +279,27 @@ def test_backward_computes_only_live_gradients(monkeypatch, mode):
     for dx, dgamma, dbeta in norms:
         assert dx is not None
         assert (dgamma is not None, dbeta is not None) == (mode.trains_dense,) * 2
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA])
+def test_ffn2_input_dies_before_its_dx(monkeypatch, mode):
+    # Each linear builds its parameter gradients, then drops its retained
+    # activations, and only then its dx: ffn2's retained input, GeLU's whole
+    # output in ft and lora, is gone when ffn2's dx is allocated.
+    m = build_model(CFG, mode, rank=2, rng=RngState(9))
+    _, tape = forward_loss(m, *data(10))
+    inputs = [weakref.ref(cache.ffn2.x_full) for cache in reversed(tape.block_caches)]
+    alive = []
+    real_matmul = adapters.matmul
+
+    def spy_matmul(a, b):
+        if b.shape == (CFG.d, CFG.d_ff):  # ffn2's dx = dy (W + alpha A B)^T
+            alive.append(inputs[len(alive)]() is not None)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(adapters, "matmul", spy_matmul)
+    backward(m, tape)
+    assert alive == [False] * CFG.n_layers
 
 
 def test_frozen_backward_returns_no_gradients(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -437,6 +438,14 @@ def test_gelu_vjp_rejects_an_out_it_cannot_write_in_place(x, out):
         ops.gelu_vjp(x, np.ones(x.shape), out=out)
 
 
+@pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((4, 8))[:, ::2], [0.0] * 4],
+                         ids=["shape", "strided", "list"])
+def test_layer_norm_vjp_rejects_a_bad_out(out):
+    _, x_hat, inv_std = ops.layer_norm(randn((3, 4), RngState(15)), np.ones(4), np.zeros(4))
+    with pytest.raises(DimensionError, match="out"):
+        ops.layer_norm_vjp(x_hat, inv_std, np.ones(4), np.ones((3, 4)), out=out)
+
+
 def test_primitive_gradients_match_finite_differences():
     results = check_primitives(seed=11, trials=6)
     assert results, "no primitives checked"
@@ -607,6 +616,44 @@ def test_layer_norm_kernels_match_plain_expressions(shape, dtype):
     got = call_unchanged(ops.layer_norm_vjp, x_hat, inv_std, gamma, upstream)
     for g, w in zip(got, ref_layer_norm_vjp(x_hat, inv_std, gamma, upstream)):
         assert_same(g, w)
+
+
+@pytest.mark.parametrize("param_grads", [True, False])
+@pytest.mark.parametrize("shape", [(1,), (8, 64, 512)])
+def test_layer_norm_vjp_into_its_upstream_matches_the_default(shape, param_grads):
+    # out= may be upstream itself, a dead gradient the caller hands over:
+    # dgamma and dbeta read it first, and dx comes out bit for bit the
+    # default's. Nothing but out is written.
+    x, upstream, gamma, beta = kernel_inputs(shape, np.float64)
+    _, x_hat, inv_std = ops.layer_norm(x, gamma, beta)
+    want = ops.layer_norm_vjp(x_hat, inv_std, gamma, upstream, param_grads=param_grads)
+    held = [np.array(a, copy=True) for a in (x_hat, inv_std, gamma)]
+    got = ops.layer_norm_vjp(x_hat, inv_std, gamma, upstream, param_grads=param_grads,
+                             out=upstream)
+    assert got[0] is upstream
+    assert_same(got[0], want[0])
+    if param_grads:
+        assert_same(got[1], want[1])
+        assert_same(got[2], want[2])
+    else:
+        assert got[1:] == want[1:] == (None, None)
+    for a, b in zip((x_hat, inv_std, gamma), held):
+        assert_same(a, b)
+
+
+def test_gelu_vjp_scratch_totals_one_block():
+    # The vjp's four scratch rows hold ops.BLOCK // 4 elements each, so on
+    # more than ops.BLOCK elements, writing into its upstream, it allocates
+    # at most ops.BLOCK float64 values, plus the views' few hundred bytes.
+    x, upstream, _, _ = kernel_inputs((3 * ops.BLOCK + 7,), np.float64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops.gelu_vjp(x, upstream, out=upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= ops.BLOCK * 8 + 4096
 
 
 def test_softmax_kernel_keeps_masked_entries_exact():

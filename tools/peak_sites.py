@@ -1,4 +1,4 @@
-"""Print each benchmark mode's step peak and the source line that reaches it.
+"""Print each benchmark mode's step peak, its tape, and the source line that reaches the peak.
 
     python3 tools/peak_sites.py [--workload NAME]
 
@@ -6,11 +6,14 @@ Run it from a checkout's root: it imports lorafa from ./src and the
 benchmark harness from ./bench. For each geometry of bench/design.json
 (or the one named) and each benchmark mode it prints
 
-    <geometry> <mode> <bytes> B at <file:line (function)> < <caller> < ...
+    <geometry> <mode> <bytes> B (tape <tape> B) at <file:line (function)> < <caller> < ...
 
 <bytes> is the tracemalloc peak of one training step, computed by the
 benchmark's own gate (`harness.gate`), so it equals `bench/run.py`'s
-step_peak_mb times 1e6, to the byte. A second step then runs under a line
+step_peak_mb times 1e6, to the byte. <tape> is the bytes of the arrays that
+step's forward retains for backward, as the activation meter counts them
+(the gate's retained_mb times 1e6), so <bytes> - <tape> is what the peak
+holds beyond the tape. A second step then runs under a line
 tracer that resets the tracemalloc peak at every Python line event. The
 site printed is the first line that brings that step within 4 KB of its
 peak, with its callers up to the outermost one in src/; sites closer than
@@ -115,7 +118,8 @@ def report(name: str) -> list[str]:
         # tracing runs, and its stop ends that tracing once the step is done.
         site = peak_site(lambda: harness._peak_step_bytes(lf, wl, st, wl.gate_steps, checks))
         peak = round(statics[mode]["peak_mb"] * 1e6)
-        lines.append(f"{name} {mode} {peak} B at {site}")
+        tape = round(statics[mode]["retained_mb"] * 1e6)
+        lines.append(f"{name} {mode} {peak} B (tape {tape} B) at {site}")
     if checks.failures:
         raise SystemExit(f"{name}: {len(checks.failures)} benchmark checks failed")
     return lines
