@@ -20,6 +20,7 @@ import numpy as np
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
 from .errors import DimensionError, ModeError, NumericsError, ParameterError
+from .model import require_number
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -41,6 +42,7 @@ class SubspaceReport:
     numerical_rank: int
 
 
+@ops.numerics
 def verify_sgd_equivalence(
     layer: AdaptedLinear, x: np.ndarray, dy: np.ndarray, eta: float
 ) -> float:
@@ -58,6 +60,7 @@ def verify_sgd_equivalence(
     """
     if layer.mode is not Mode.LORA_FA:
         raise ModeError("sgd equivalence is defined for frozen-A layers")
+    require_number("eta", eta)
     work = layer.clone()
     before = adapters.merge(work)
     _, kept = adapters.forward(work, x)
@@ -72,6 +75,7 @@ def verify_sgd_equivalence(
     return float(np.max(np.abs((after - before) - predicted)))
 
 
+@ops.numerics
 def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> float:
     """Relative Frobenius error of the Monte-Carlo mean of A A^T against r * I.
 
@@ -79,6 +83,7 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     unit-variance normals.
     """
     for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
+        require_number(name, value, integral=True)
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
     acc = np.zeros((d, d))
@@ -94,6 +99,7 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))
 
 
+@ops._op  # an operand that is not a numpy array is a DimensionError
 def subspace_check(a: np.ndarray, delta_w: np.ndarray) -> SubspaceReport:
     """How far delta_w sits from the column space of A, plus its numerical rank.
 

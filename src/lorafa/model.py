@@ -109,23 +109,6 @@ def check_rank(config: ModelConfig, mode: Mode, rank: int) -> None:
         raise ParameterError(f"rank {rank} exceeds min(d, d_ff) = {config.max_rank}")
 
 
-def block_layer_specs(config: ModelConfig) -> list[tuple[str, int, int, bool]]:
-    """The six linear layers of one block: (name, d_in, d_out, shares_input).
-
-    shares_input marks key/value, whose stored input is the same tensor as
-    query's; the memory model must count that tensor once.
-    """
-    d, d_ff = config.d, config.d_ff
-    return [
-        ("attn_q", d, d, False),
-        ("attn_k", d, d, True),
-        ("attn_v", d, d, True),
-        ("attn_o", d, d, False),
-        ("ffn1", d, d_ff, False),
-        ("ffn2", d_ff, d, False),
-    ]
-
-
 @dataclass
 class Block:
     ln1_gamma: np.ndarray
@@ -140,7 +123,7 @@ class Block:
     ffn2: AdaptedLinear
 
     def layers(self) -> dict[str, AdaptedLinear]:
-        """The adapted linears by name, in field (and block_layer_specs) order."""
+        """The adapted linears by name, in field order."""
         return {name: v for name, v in vars(self).items() if isinstance(v, AdaptedLinear)}
 
 
@@ -183,7 +166,7 @@ def build_model(
     rng_w = derive(rng, "weights")
     rng_a = derive(rng, "adapters")
     rng_e = derive(rng, "embeddings")
-    d = config.d
+    d, d_ff = config.d, config.d_ff
     tok_emb = randn((config.vocab, d), rng_e, std=1.0 / np.sqrt(d))
     pos_emb = randn((config.seq_len, d), rng_e, std=1.0 / np.sqrt(d))
     if alpha is None:
@@ -191,7 +174,8 @@ def build_model(
     blocks = []
     for _ in range(config.n_layers):
         layers = {}
-        for name, d_in, d_out, _shared in block_layer_specs(config):
+        for name, (d_in, d_out) in dict(attn_q=(d, d), attn_k=(d, d), attn_v=(d, d),
+                                        attn_o=(d, d), ffn1=(d, d_ff), ffn2=(d_ff, d)).items():
             w = randn((d_in, d_out), rng_w, std=1.0 / np.sqrt(d_in))
             layers[name] = adapters.init_adapter(d_in, d_out, rank, alpha, mode, rng_a, w=w)
         blocks.append(
@@ -220,13 +204,13 @@ def build_model(
 
 @dataclass
 class BlockCache:
-    """One block's retained arrays in forward order; a RetainedActivations
-    field carries its layer's block_layer_specs name, the meter's key.
+    """One block's retained arrays in forward order, sized by tape_elements;
+    a RetainedActivations field carries its layer's name.
     ln1's stats are None where the block's input gradient is dead, which is
     how backward knows it. probs holds the causal attention probabilities'
-    lower triangles, (b, h, s(s+1)/2) from _pack_causal. Backward takes out
-    each RetainedActivations, GeLU's input at its vjp and probs where it
-    expands them."""
+    lower triangles, from _pack_causal. Backward takes out each
+    RetainedActivations, GeLU's input at its vjp and probs where it expands
+    them."""
 
     ln1_xhat: Optional[np.ndarray]
     ln1_inv: Optional[np.ndarray]
@@ -256,20 +240,49 @@ class Tape:
     """The arrays one forward pass retained for backward, and nothing else.
 
     Backward consumes it and the activation meter counts it: the block
-    caches, then lnf_xhat, lnf_inv, head_input (ft only) and dlogits, the
-    loss gradient forward_loss leaves.
+    caches, then every other field but tokens, each sized by tape_elements.
     """
 
     tokens: Optional[np.ndarray] = None
     block_caches: list[BlockCache] = field(default_factory=list)
     lnf_xhat: Optional[np.ndarray] = None
     lnf_inv: Optional[np.ndarray] = None
-    head_input: Optional[np.ndarray] = None
-    dlogits: Optional[np.ndarray] = None
+    head_input: Optional[np.ndarray] = None  # ft only
+    dlogits: Optional[np.ndarray] = None  # the loss gradient forward_loss leaves
 
     def clear(self) -> None:
         """Drop every retained array, as backward leaves the tape it consumed."""
         vars(self).update(vars(Tape()))
+
+
+def tape_elements(config: ModelConfig, mode: Mode, rank: int, b: int, s: int) -> dict:
+    """Elements per field of a (b, s) forward_loss tape, the one statement of
+    its layout, which memory.reconcile matches against the meter: block<i>.<field>
+    for the block caches, then the Tape's own fields. A linear keeps
+    {"full": its input, "low": x@A}, key and value no input of their own
+    (they read query's); every other field is a count, 0 where forward
+    leaves None: block 0's ln1 stats and head_input outside ft."""
+    d, bs = config.d, b * s
+    bsd, keep_full, keep_low = bs * d, mode.retains_full_input, mode.has_adapter
+
+    def linear(d_in: int, own_input: bool = True) -> dict[str, int]:
+        return {"full": bs * d_in * (keep_full and own_input), "low": bs * rank * keep_low}
+
+    out: dict = {}
+    for i in range(config.n_layers):
+        ln1 = mode.trains_dense or i > 0
+        cache = dict(
+            ln1_xhat=bsd * ln1, ln1_inv=bs * ln1,
+            attn_q=linear(d), attn_k=linear(d, False), attn_v=linear(d, False),
+            qh=bsd, kh=bsd, vh=bsd, probs=b * config.n_heads * s * (s + 1) // 2,
+            attn_o=linear(d),
+            ln2_xhat=bsd, ln2_inv=bs,
+            ffn1=linear(d), gelu_in=bs * config.d_ff, ffn2=linear(config.d_ff),
+        )
+        out.update((f"block{i}.{name}", n) for name, n in cache.items())
+    out.update(lnf_xhat=bsd, lnf_inv=bs, head_input=bsd * mode.trains_dense,
+               dlogits=bs * config.vocab)
+    return out
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:

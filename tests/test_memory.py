@@ -1,17 +1,19 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lorafa.adapters import Mode
 from lorafa.errors import DataError, ParameterError, ReconciliationError
-from lorafa.memory import (
-    analytic_linear_elements,
-    analytic_report,
-    measured_activation_elements,
-    reconcile,
-    weight_param_count,
+from lorafa.memory import analytic_report, measured_activation_elements, reconcile
+from lorafa.model import (
+    ModelConfig,
+    backward,
+    build_model,
+    count_trainable_formula,
+    forward_loss,
+    tape_elements,
 )
-from lorafa.model import ModelConfig, backward, build_model, forward_loss
 from lorafa.rng import RngState, randint
 
 
@@ -27,11 +29,16 @@ def run_forward(cfg, mode, rank, seed=3):
     return tape
 
 
+def linears(table: dict) -> dict:
+    """The {"full", "low"} entries of a tape_elements table: its linears."""
+    return {k: v for k, v in table.items() if isinstance(v, dict)}
+
+
 # --- parameter counts -------------------------------------------------------
 
 def test_weight_param_count_is_12d2L():
     cfg = make_cfg(d=8, L=3)
-    assert weight_param_count(cfg) == 12 * 8 * 8 * 3
+    assert count_trainable_formula(cfg, Mode.FT, 1) == 12 * 8 * 8 * 3
 
 
 # --- analytic formulas --------------------------------------------------------
@@ -46,7 +53,7 @@ def test_ft_activation_matches_headline_geometry():
 
 def test_per_block_elements_ft_is_7bsd():
     cfg = make_cfg(d=4, L=1)
-    per_layer = analytic_linear_elements(cfg, Mode.FT, 1, 1, 1)
+    per_layer = linears(tape_elements(cfg, Mode.FT, 1, 1, 1))
     total = sum(v["full"] + v["low"] for v in per_layer.values())
     assert total == 28  # qkv shared 4, out 4, ffn1 4, ffn2 16
     assert per_layer["block0.attn_k"]["full"] == 0  # shares query's input
@@ -70,7 +77,7 @@ def test_paper_constant_vs_enumeration_low_rank_ratio():
 
 def test_state_bytes_by_mode():
     cfg = make_cfg(d=16, L=2)
-    n = weight_param_count(cfg)
+    n = count_trainable_formula(cfg, Mode.FT, 4)
     n_r = 18 * 16 * 4 * 2  # A plus B elements, 18drL at d_ff = 4d
     assert analytic_report(cfg, Mode.FT, 4, 1, 1).trainable_state_bytes == 14 * n
     assert analytic_report(cfg, Mode.LORA, 4, 1, 1).trainable_state_bytes == 16 * n_r
@@ -81,7 +88,7 @@ def test_state_bytes_by_mode():
 def test_weight_bytes_are_2n():
     cfg = make_cfg(d=16, L=2)
     rep = analytic_report(cfg, Mode.FT, 1, 1, 1)
-    assert rep.weight_bytes == 2 * weight_param_count(cfg)
+    assert rep.weight_bytes == 2 * count_trainable_formula(cfg, Mode.FT, 1)
 
 
 def test_modifier_validation():
@@ -98,7 +105,7 @@ def test_analytic_report_rejects_sizes_below_one(rank, b, s):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_per_layer_count_sums_the_full_enumeration(mode):
     cfg = ModelConfig(d=24, n_layers=5, n_heads=2, vocab=9, seq_len=7, batch_size=3, d_ff=40)
-    per_layer = analytic_linear_elements(cfg, mode, 3, 3, 7)
+    per_layer = linears(tape_elements(cfg, mode, 3, 3, 7))
     assert len(per_layer) == 6 * cfg.n_layers
     elements = sum(v["full"] + v["low"] for v in per_layer.values())
     rep = analytic_report(cfg, mode, 3, 3, 7, activation_model="per_layer_count")
@@ -187,8 +194,7 @@ def test_reconcile_reports_paper_constant_delta_for_low_rank():
 def test_reconcile_failure_lists_diffs():
     cfg = make_cfg(d=16, L=1, heads=2, s=6, b=2)
     meas = measured_activation_elements(run_forward(cfg, Mode.FT, 2))
-    meas.per_layer["block0.ffn1"]["full"] -= 1
-    meas.linear_full -= 1
+    meas.elements["block0.ffn1"]["full"] -= 1
     with pytest.raises(ReconciliationError, match="ffn1"):
         reconcile(cfg, Mode.FT, 2, meas, 2, 6)
 
@@ -206,25 +212,35 @@ def test_low_rank_retention_scales_exactly_with_rank():
 def test_meter_other_elements_closed_form(mode):
     d, L, h, s, b, vocab = 16, 3, 2, 6, 2, 11
     cfg = make_cfg(d=d, L=L, heads=h, vocab=vocab, s=s, b=b)
-    bsd, bs = b * s * d, b * s
-    # per block: two layer norms (x_hat, inv_std), q/k/v heads, attention
-    # probabilities (each head's lower triangle), GeLU input; then the final
-    # layer norm and loss softmax
-    per_block = 2 * (bsd + bs) + 3 * bsd + b * h * s * (s + 1) // 2 + b * s * cfg.d_ff
-    other = L * per_block + bsd + bs + b * s * vocab
-    if mode is Mode.FT:
-        other += bsd  # the tied head's input, kept to train the embedding
-    else:
-        other -= bsd + bs  # block 0's ln1 stats: nothing below block 0 trains
+    table = tape_elements(cfg, mode, 2, b, s)
+    other = sum(n for n in table.values() if not isinstance(n, dict))
     assert measured_activation_elements(run_forward(cfg, mode, 2)).other == other
+
+
+@pytest.mark.parametrize("block, name", [
+    (1, "extra"),     # an array no field states
+    (0, "ln1_xhat"),  # where forward keeps None outside ft
+    (0, "qh"),        # resized
+    (None, "extra"),  # on the Tape itself
+])
+def test_reconcile_names_an_array_the_table_does_not_state(block, name):
+    # The meter counts every array the tape holds, so one the table lacks,
+    # or one of another size, fails reconciliation by name.
+    cfg = make_cfg(d=16, L=2, heads=2, s=6, b=2)
+    tape = run_forward(cfg, Mode.LORA, 2)
+    setattr(tape if block is None else tape.block_caches[block], name, np.zeros(5))
+    field = name if block is None else f"block{block}.{name}"
+    with pytest.raises(ReconciliationError, match=f"'{field}'"):
+        reconcile(cfg, Mode.LORA, 2, measured_activation_elements(tape), 2, 6)
 
 
 def test_shared_qkv_input_counted_once():
     cfg = make_cfg(d=16, L=1, heads=2, s=6, b=2)
     meas = measured_activation_elements(run_forward(cfg, Mode.FT, 2))
     # attn_q carries the shared input; k and v add nothing
-    assert meas.per_layer["block0.attn_q"]["full"] == 2 * 6 * 16
-    assert "block0.attn_k" not in meas.per_layer
+    per_layer = meas.to_dict()["per_layer"]
+    assert per_layer["block0.attn_q"]["full"] == 2 * 6 * 16
+    assert "block0.attn_k" not in per_layer
 
 
 # The acceptance PARITY_MODEL geometry (cases named by mode) and the

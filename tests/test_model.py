@@ -22,6 +22,7 @@ from lorafa.model import (
     count_trainable_formula,
     forward_logits,
     forward_loss,
+    tape_elements,
     trainable_params,
 )
 from lorafa.optim import AdamWConfig, adamw_step, init_adamw_state
@@ -524,9 +525,9 @@ def test_retained_products_own_their_memory(mode):
     assert len(owned) == CFG.n_layers * (8 if mode.has_adapter else 2)
     for key, arr in owned.items():
         assert arr.base is None, f"{key} is a view"
-    b, h, s = CFG.batch_size, CFG.n_heads, CFG.seq_len
+    table = tape_elements(CFG, mode, 2, CFG.batch_size, CFG.seq_len)
     for i in range(CFG.n_layers):
-        assert owned[f"block{i}.probs"].size == b * h * s * (s + 1) // 2
+        assert owned[f"block{i}.probs"].size == table[f"block{i}.probs"]
 
 
 @pytest.mark.parametrize("s", [1, 2, 5, 64])
