@@ -184,10 +184,10 @@ def init_adapter(
 
 
 def _check_extent(what: str, x, extent: int) -> None:
-    """DimensionError unless x is a numpy array whose last extent is the given one."""
-    if not isinstance(x, np.ndarray) or x.ndim < 1 or x.shape[-1] != extent:
-        raise DimensionError(f"{what} must be a (..., {extent}) array, "
-                             f"got {getattr(x, 'shape', type(x).__name__)}")
+    """DimensionError unless x is a numpy array of reals whose last extent is the given one."""
+    if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf" or x.shape[-1:] != (extent,):
+        raise DimensionError(f"{what} must be a (..., {extent}) array of reals, got "
+                             f"{getattr(x, 'dtype', '')} {getattr(x, 'shape', type(x).__name__)}")
 
 
 @ops.numerics
@@ -221,8 +221,8 @@ def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> 
     views, and retained by nothing.
     """
     if (not isinstance(out, np.ndarray) or out.shape != x.shape[:-1] + (layer.d_out,)
-            or not out.flags.c_contiguous):
-        raise DimensionError(f"forward gelu_into must be a C-contiguous {x.shape[:-1]} x "
+            or not out.flags.c_contiguous or out.dtype.kind != "f"):
+        raise DimensionError(f"forward gelu_into must be a C-contiguous float {x.shape[:-1]} x "
                              f"{layer.d_out} array, got {getattr(out, 'shape', type(out).__name__)}")
     w = _merged(layer)
     x_full = ops.gelu(x) if layer.mode.retains_full_input else None

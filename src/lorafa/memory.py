@@ -31,7 +31,7 @@ from the analytic totals (activation_bytes_other is 0).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .adapters import Mode, RetainedActivations
 from .errors import DataError, ParameterError, ReconciliationError
@@ -117,7 +117,7 @@ class MeasuredActivations:
     """Retained elements per tape field, in tape_elements' layout, and their
     totals: linear inputs full and low, and every other array."""
 
-    elements: dict
+    elements: dict = field(default_factory=dict)
 
     @property
     def linear_full(self) -> int:

@@ -381,7 +381,7 @@ def _check_ids(ids: np.ndarray, name: str) -> None:
 
 
 def _forward(model: TransformerModel, tokens: np.ndarray):
-    """Shared forward: returns (logits, tape)."""
+    """Shared forward: returns (logits, tape). Its one NaN/Inf check is the logits'."""
     tokens = np.asarray(tokens)
     _check_ids(tokens, "tokens")
     s = tokens.shape[1]
@@ -400,8 +400,7 @@ def _forward(model: TransformerModel, tokens: np.ndarray):
     if model.mode.trains_dense:
         # Tied head: h is needed for the embedding gradient only when training it.
         tape.head_input = h
-    logits = ops.matmul(h, model.tok_emb.T)
-    return logits, tape
+    return ops.ensure_finite(ops.matmul(h, model.tok_emb.T), "logits"), tape
 
 
 def forward_logits(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:

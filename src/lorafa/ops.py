@@ -2,16 +2,16 @@
 
 Values are float64 numpy arrays, as every array lorafa builds is; the
 kernels allocate results and scratch in float64. Every operation validates
-shapes up front; an operand that is not a numpy array (a list, a float)
-has no shape to check, which is a DimensionError too. Backward rules are
-paired ``*_vjp`` functions taking exactly the tensors the forward pass
+shapes up front; an operand that is not a numpy array of integers or reals
+(a list, a string or complex array) is a DimensionError too. Backward rules
+are paired ``*_vjp`` functions taking exactly the tensors the forward pass
 retained; the gradient-check harness pairs each with its forward op.
-NaN/Inf is an error state (NumericsError), caught where a value crosses
-the step boundary: ``matmul`` checks every product, which each kernel's
-output reaches before the loss, and ``qr``, ``qr_pivoted`` and
-``numerical_rank`` what LAPACK takes or gives. The kernels compute through
-NaN/Inf, with numpy's RuntimeWarning; a caller that turns warnings into
-errors gets a NumericsError instead.
+NaN/Inf is an error state (NumericsError), checked where a value leaves a
+step and nowhere inside it: in the model's logits, the loss and each
+gradient backward returns, which every product reaches; and ``qr``,
+``qr_pivoted`` and ``numerical_rank`` check what LAPACK takes or gives. The
+kernels compute through NaN/Inf, with numpy's RuntimeWarning; a caller that
+turns warnings into errors gets a NumericsError instead.
 
 No operation writes into its arguments: the tape retains forward inputs
 and outputs for backward. The two exceptions are the ``out=`` of
@@ -68,18 +68,18 @@ LAYER_NORM_EPS = 1e-5  # added to the row variance in layer_norm
 
 def _op(fn, arrays: bool = True):
     """fn as an op: its positional arguments are its operands, and (with
-    arrays) one that is not a numpy array is a DimensionError (a list has no
-    shape to check); numpy's floating-point warning (NaN/Inf met or made),
-    raised as an exception where the caller's warnings filter says so, is a
-    NumericsError. A try costs nothing until it catches; an np.errstate that
-    silenced the warning instead would cost 0.6 us a call (numpy 2.4), 7% of
-    the benchmark's verify pass on a 2-vCPU VM."""
+    arrays) one that is not a numpy array of integer or real floating dtype
+    is a DimensionError; numpy's floating-point warning (NaN/Inf met or
+    made), raised as an exception where the caller's warnings filter says
+    so, is a NumericsError. A try costs nothing until it catches; an
+    np.errstate that silenced the warning instead would cost 0.6 us a call
+    (numpy 2.4), 7% of the benchmark's verify pass on a 2-vCPU VM."""
     @functools.wraps(fn)
     def op(*operands, **options):
-        if arrays:
-            for x in operands:
-                if not isinstance(x, np.ndarray):
-                    raise DimensionError(f"{fn.__name__} takes numpy arrays, got {type(x).__name__}")
+        for x in operands if arrays else ():
+            if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
+                raise DimensionError(f"{fn.__name__} takes numpy arrays, got "
+                                     f"{getattr(x, 'dtype', type(x).__name__)}")
         try:
             return fn(*operands, **options)
         except RuntimeWarning as exc:
@@ -133,7 +133,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape[:-1] + b.shape[1:])
     rows = math.prod(a.shape[:-1])
     np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
-    return ensure_finite(out, "matmul")
+    return out
 
 
 @_op
@@ -237,10 +237,10 @@ def gelu_vjp(x: np.ndarray, upstream: np.ndarray, *, out: Optional[np.ndarray] =
 
 
 def _check_out(op: str, out: Optional[np.ndarray], shape: tuple) -> None:
-    """DimensionError unless out is None or a C-contiguous array of the given shape."""
+    """DimensionError unless out is None or a C-contiguous float array of the given shape."""
     if out is not None and (not isinstance(out, np.ndarray) or out.shape != shape
-                            or not out.flags.c_contiguous):
-        raise DimensionError(f"{op} out must be a C-contiguous {shape} array")
+                            or not out.flags.c_contiguous or out.dtype.kind != "f"):
+        raise DimensionError(f"{op} out must be a C-contiguous float {shape} array")
 
 
 @_op
@@ -252,7 +252,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     """
     _rows("softmax_rows", x)
     m = np.max(x, axis=-1, keepdims=True)
-    e = np.subtract(x, m)
+    e = np.subtract(x, m, dtype=np.result_type(x, 0.0))  # a float, for integer x too
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
@@ -322,7 +322,7 @@ def layer_norm_vjp(
             f"gamma {gamma.shape}, upstream {upstream.shape}"
         )
     _check_out("layer_norm_vjp", out, x_hat.shape)
-    dxhat = np.multiply(upstream, gamma)
+    dxhat = np.multiply(upstream, gamma, dtype=np.result_type(upstream, gamma, 0.0))
     dgamma = dbeta = None
     if param_grads:
         # upstream's last reads, before out may take the product and then dx.

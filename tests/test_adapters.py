@@ -114,7 +114,11 @@ def _kept(layer):
     lambda layer: adapters.forward(layer, np.ones((2, 6)), gelu_into=[[0.0] * 5] * 2),
     lambda layer: adapters.backward(layer, _kept(layer), [[1.0] * 5] * 2),
     lambda layer: adapters.backward(layer, _kept(layer), np.ones((3, 5))),
-], ids=["forward-list", "forward-0d", "stream-list", "backward-list", "backward-leading-dims"])
+    lambda layer: adapters.forward(layer, np.ones((2, 6), dtype=complex)),
+    lambda layer: adapters.forward(layer, np.ones((2, 6)), gelu_into=np.zeros((2, 5), dtype=int)),
+    lambda layer: adapters.backward(layer, _kept(layer), np.full((2, 5), "a")),
+], ids=["forward-list", "forward-0d", "stream-list", "backward-list", "backward-leading-dims",
+        "forward-complex", "stream-int", "backward-string"])
 @pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
 def test_bad_operands_are_dimension_errors(mode, call):
     # not numpy's AttributeError, IndexError or ValueError

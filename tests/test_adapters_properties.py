@@ -1,10 +1,11 @@
 """Property test for the adapted linear layer: whatever modes, sizes and
 values (NaN, Inf and overflowing ones included) a layer has, and whatever
 shapes (0-d and width 0 included) its input, residual stream, retained
-activations and upstream have, or whether they are arrays or lists, each of
-``forward``, ``backward`` and ``merge`` run with warnings as errors either
-returns or raises a LorafaError. numpy's own AttributeError, IndexError,
-ValueError or RuntimeWarning must never escape."""
+activations and upstream have, or whether they are float64 arrays, arrays
+of another dtype or lists, each of ``forward``, ``backward`` and ``merge``
+run with warnings as errors either returns or raises a LorafaError. numpy's
+own AttributeError, IndexError, ValueError, TypeError or RuntimeWarning must
+never escape."""
 
 import warnings
 
@@ -20,16 +21,22 @@ from lorafa.rng import RngState
 
 VALUES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
     [np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0])
+# An array operand of another dtype, now and then: integers are reals to a
+# layer, and a bool, complex, string or object array is a DimensionError.
+OTHER_DTYPES = [np.int64, np.bool_, np.complex128, np.dtype("U2"), np.dtype(object)]
 
 
 def _operand(data, shape: tuple):
-    """A float64 array of the given shape, now and then of a drawn one, or a list."""
-    kind = data.draw(st.sampled_from(["array"] * 6 + ["other shape", "list"]))
+    """A float64 array of the given shape, now and then of a drawn one or of
+    another dtype, or a list."""
+    kind = data.draw(st.sampled_from(["array"] * 6 + ["other shape", "other dtype", "list"]))
     if kind == "list":
         return data.draw(st.lists(VALUES, max_size=4))
     if kind == "other shape":
         shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
-    return data.draw(hnp.arrays(np.float64, shape, elements=VALUES))
+    dtype = data.draw(st.sampled_from(OTHER_DTYPES)) if kind == "other dtype" else np.float64
+    elements = VALUES if dtype in (np.float64, object) else None  # None: any value of dtype
+    return data.draw(hnp.arrays(dtype, shape, elements=elements))
 
 
 def _layer(data):

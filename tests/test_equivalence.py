@@ -224,3 +224,13 @@ def test_subspace_check_rejects_bad_shapes(a_shape, dw_shape):
     with pytest.raises(DimensionError):
         subspace_check(np.ones(a_shape), np.ones(dw_shape))
 
+
+@pytest.mark.parametrize("bad", [np.full((2, 1), "a"), np.ones((2, 1), dtype=complex)],
+                         ids=["string", "complex"])
+def test_subspace_check_rejects_an_array_of_non_reals(bad):
+    # A string A escaped as ops.qr's ValueError; a complex one was cast to its real part.
+    with pytest.raises(DimensionError):
+        subspace_check(bad, np.ones((2, 2)))
+    with pytest.raises(DimensionError):
+        subspace_check(np.ones((2, 1)), bad)
+

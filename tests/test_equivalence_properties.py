@@ -1,6 +1,6 @@
 """Property test for the equivalence checks: whatever layer modes, sizes and
 values (NaN, Inf and overflowing ones included), whatever inputs, upstreams
-and merged-weight changes (lists, non-numbers and any shape included), and
+and merged-weight changes (lists, arrays of any dtype or shape included), and
 whatever sizes, step sizes and sample counts (floats, bools and strings
 included), each of ``verify_sgd_equivalence``, ``estimate_unbiasedness``
 and ``subspace_check`` run with warnings as errors either returns or raises
@@ -22,19 +22,25 @@ from lorafa.rng import RngState
 
 VALUES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
     [np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0])
+# An array operand of another dtype, now and then: integers are reals to the
+# checks, and a bool, complex, string or object array is a DimensionError.
+OTHER_DTYPES = [np.int64, np.bool_, np.complex128, np.dtype("U2"), np.dtype(object)]
 # A size, step size or sample count: small integers mostly, else what a
 # caller might pass by mistake.
 SCALARS = st.integers(-1, 4) | st.sampled_from([0.0, 2.5, -1.0, np.nan, np.inf, 1e200, True, "3"])
 
 
 def _operand(data, shape: tuple):
-    """A float64 array of the given shape, now and then of a drawn one, or a list."""
-    kind = data.draw(st.sampled_from(["array"] * 6 + ["other shape", "list"]))
+    """A float64 array of the given shape, now and then of a drawn one or of
+    another dtype, or a list."""
+    kind = data.draw(st.sampled_from(["array"] * 6 + ["other shape", "other dtype", "list"]))
     if kind == "list":
         return data.draw(st.lists(st.lists(VALUES, max_size=3), max_size=3))
     if kind == "other shape":
         shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
-    return data.draw(hnp.arrays(np.float64, shape, elements=VALUES))
+    dtype = data.draw(st.sampled_from(OTHER_DTYPES)) if kind == "other dtype" else np.float64
+    elements = VALUES if dtype in (np.float64, object) else None  # None: any value of dtype
+    return data.draw(hnp.arrays(dtype, shape, elements=elements))
 
 
 def _layer(data):

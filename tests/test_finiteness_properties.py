@@ -1,8 +1,10 @@
-"""Property tests for the numeric contract: NaN/Inf is caught where a value
-crosses the step boundary (a matmul, the loss, the returned gradients), not
-after every kernel. Whatever tensor of a tiny model holds a planted NaN or
-Inf, trainable or frozen, forward_loss then backward either raise
-NumericsError or return a finite loss and finite gradients."""
+"""Property tests for the numeric contract: NaN/Inf is checked where a value
+leaves a step (the logits, the loss, each returned gradient) and nowhere
+inside it. Whatever tensor of a tiny model holds a planted NaN or Inf,
+trainable or not, in any of the four modes, forward_loss then backward
+either raise NumericsError or return a finite loss and finite gradients,
+and forward_logits over a whole sequence, which reads every tensor, raises
+NumericsError. A step makes one check per gradient plus the logits'."""
 
 import numpy as np
 import pytest
@@ -12,15 +14,18 @@ from hypothesis import strategies as st
 from lorafa import adapters, ops
 from lorafa.adapters import Mode
 from lorafa.errors import NumericsError
-from lorafa.model import ModelConfig, backward, build_model, forward_loss
+from lorafa.model import (ModelConfig, backward, build_model, forward_logits, forward_loss,
+                          trainable_params)
 from lorafa.rng import RngState, randint
 
 TINY = ModelConfig(d=8, n_layers=2, n_heads=2, vocab=10, seq_len=6, batch_size=2)
-MODES = [Mode.FT, Mode.LORA, Mode.LORA_FA]
+MODES = [Mode.FT, Mode.LORA, Mode.LORA_FA]  # the modes that train
 # Shorter than seq_len, so the last pos_emb rows are unread and a value
 # planted there may leave the loss and gradients finite.
 TOKENS = randint(RngState(1), 0, TINY.vocab, (2, 4))
 TARGETS = randint(RngState(2), 0, TINY.vocab, (2, 4))
+# A whole sequence: every pos_emb row is read.
+WHOLE = randint(RngState(3), 0, TINY.vocab, (2, TINY.seq_len))
 
 
 def _model(mode: Mode):
@@ -41,14 +46,20 @@ def _tensors(model) -> dict[str, np.ndarray]:
     return out
 
 
-@settings(derandomize=True, max_examples=150, database=None, deadline=None)
-@given(st.sampled_from(MODES), st.data())
-def test_planted_nan_or_inf_raises_or_leaves_the_step_finite(mode, data):
-    model = _model(mode)
+def _planted(data):
+    """A tiny model of a drawn mode with NaN or Inf at a drawn entry of a drawn tensor."""
+    model = _model(data.draw(st.sampled_from(list(Mode))))
     tensors = _tensors(model)
     target = tensors[data.draw(st.sampled_from(sorted(tensors)))]
     index = data.draw(st.integers(0, target.size - 1))
     target.reshape(-1)[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return model
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.data())
+def test_planted_nan_or_inf_raises_or_leaves_the_step_finite(data):
+    model = _planted(data)
     with np.errstate(all="ignore"):
         try:
             loss, tape = forward_loss(model, TOKENS, TARGETS)
@@ -79,3 +90,28 @@ def test_a_nan_in_a_parameter_gradient_is_caught_in_backward(mode, monkeypatch):
     _, tape = forward_loss(model, TOKENS, TARGETS)
     with pytest.raises(NumericsError, match="gradient block"):
         backward(model, tape)
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.data())
+def test_planted_nan_or_inf_reaches_forward_logits(data):
+    # With no loss or gradient after it, forward_logits is checked at the logits.
+    model = _planted(data)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="logits"):
+        forward_logits(model, WHOLE)
+
+
+@pytest.mark.parametrize("mode,checks", [(Mode.FT, 25), (Mode.LORA, 25), (Mode.LORA_FA, 13),
+                                         (Mode.FROZEN, 1)], ids=lambda v: getattr(v, "value", v))
+def test_a_step_checks_the_logits_and_each_gradient_once(mode, checks, monkeypatch):
+    calls = []
+    check = ops.ensure_finite
+    monkeypatch.setattr(ops, "ensure_finite",
+                        lambda x, what="result": calls.append(what) or check(x, what))
+    model = _model(mode)
+    backward(model, forward_loss(model, TOKENS, TARGETS)[1])
+    assert len(calls) == checks == 1 + len(trainable_params(model))
+    assert calls[0] == "logits"
+    calls.clear()
+    forward_logits(model, TOKENS)
+    assert calls == ["logits"]

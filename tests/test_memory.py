@@ -5,7 +5,8 @@ import pytest
 
 from lorafa.adapters import Mode
 from lorafa.errors import DataError, ParameterError, ReconciliationError
-from lorafa.memory import analytic_report, measured_activation_elements, reconcile
+from lorafa.memory import (MeasuredActivations, analytic_report, measured_activation_elements,
+                           reconcile)
 from lorafa.model import (
     ModelConfig,
     backward,
@@ -152,6 +153,14 @@ def test_totals_monotone_in_each_argument(mode):
 
 
 # --- runtime meter and reconciliation ----------------------------------------------
+
+def test_empty_measurement_has_zero_totals():
+    # The benchmark reports an empty measurement for a mode whose step failed.
+    meas = MeasuredActivations()
+    assert (meas.linear_full, meas.linear_low, meas.other) == (0, 0, 0)
+    assert meas.to_dict() == {"linear_full_elements": 0, "linear_low_elements": 0,
+                              "other_elements": 0, "per_layer": {}}
+
 
 def test_meter_frozen_model_has_no_linear_retention():
     cfg = make_cfg()

@@ -56,10 +56,11 @@ def test_matmul_shape_mismatch():
         ops.matmul_vjp(np.ones((2, 3, 4)), np.ones((2, 4, 5)), np.ones((2, 3, 5)))
 
 
-def test_matmul_nan_rejected():
-    bad = np.array([[np.nan, 1.0]])
-    with pytest.raises(NumericsError):
-        ops.matmul(bad, np.ones((2, 2)))
+def test_matmul_computes_through_nan():
+    # NaN/Inf is checked where a value leaves the step (the logits, the loss,
+    # the gradients), not in each product.
+    out = ops.matmul(np.array([[np.nan, 1.0]]), np.ones((2, 2)))
+    assert np.isnan(out).all()
 
 
 def test_ensure_finite_passes_finite_values_whose_sum_overflows():
@@ -159,6 +160,31 @@ def test_layer_norm_vjp_rejects_rows_of_width_0():
 def test_ops_reject_a_list(call):
     with pytest.raises(DimensionError, match="takes numpy arrays, got list"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ops.matmul(np.array([["a"]]), np.ones((1, 1))),
+    lambda: ops.softmax_rows(np.array([1.0, 2.0], dtype=object)),
+    lambda: ops.layer_norm(np.array([[1 + 2j, 3.0]]), np.ones(2), np.zeros(2)),
+    lambda: ops.gelu(np.array([True, False])),
+], ids=["string", "object", "complex", "bool"])
+def test_ops_reject_an_array_of_non_reals(call):
+    # These escaped as numpy's UFuncTypeError or TypeError, or (complex)
+    # returned a complex result.
+    with pytest.raises(DimensionError, match="takes numpy arrays, got"):
+        call()
+
+
+def test_ops_take_integer_arrays_as_reals():
+    # softmax_rows and layer_norm_vjp used to write float results into an
+    # integer buffer, which numpy refused with a UFuncTypeError.
+    ints, inv = np.array([[1, -2, 4]]), np.array([[0.5]])
+    floats = ints.astype(float)
+    assert np.array_equal(ops.softmax_rows(ints), ops.softmax_rows(floats))
+    assert np.array_equal(ops.matmul(ints, np.eye(3)), floats)
+    for got, want in zip(ops.layer_norm_vjp(ints, inv, ints[0], ints),
+                         ops.layer_norm_vjp(floats, inv, floats[0], floats)):
+        assert np.array_equal(got, want)
 
 
 # --- qr --------------------------------------------------------------------
@@ -432,14 +458,16 @@ def test_vjps_reject_mismatched_upstream(call):
 @pytest.mark.parametrize("x, out", [
     (np.ones((3, 4)), np.empty((3, 5))),
     (np.ones(ops.BLOCK + 1), np.empty(2 * (ops.BLOCK + 1))[::2]),  # its flat view is a copy
-], ids=["shape", "strided"])
+    (np.ones((3, 4)), np.empty((3, 4), dtype=int)),  # numpy will not cast floats into it
+], ids=["shape", "strided", "integer"])
 def test_gelu_vjp_rejects_an_out_it_cannot_write_in_place(x, out):
     with pytest.raises(DimensionError, match="out"):
         ops.gelu_vjp(x, np.ones(x.shape), out=out)
 
 
-@pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((4, 8))[:, ::2], [0.0] * 4],
-                         ids=["shape", "strided", "list"])
+@pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((4, 8))[:, ::2], [0.0] * 4,
+                                 np.empty((3, 4), dtype=int)],
+                         ids=["shape", "strided", "list", "integer"])
 def test_layer_norm_vjp_rejects_a_bad_out(out):
     _, x_hat, inv_std = ops.layer_norm(randn((3, 4), RngState(15)), np.ones(4), np.zeros(4))
     with pytest.raises(DimensionError, match="out"):
