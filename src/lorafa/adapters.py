@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ops
 from .errors import (DimensionError, ModeError, NumericsError, ParameterError,
-                     RetentionPolicyError)
+                     RetentionPolicyError, require_number)
 from .ops import matmul
 from .rng import RngState, randn
 
@@ -127,6 +127,8 @@ class AdaptedLinear:
     mode: Mode
 
     def __post_init__(self):
+        require_number("rank", self.rank, integral=True, at_least=1)
+        require_number("alpha", self.alpha, positive=True)
         self.alpha = float(self.alpha)
 
     @property
@@ -162,16 +164,10 @@ def init_adapter(
     A has unit-variance entries, so that E[A A^T] = rank * I holds exactly;
     W, when sampled here, has std 1/sqrt(d_in).
     """
-    if rank < 1:
-        raise ParameterError(f"rank must be >= 1, got {rank}")
+    for name, value in (("d_in", d_in), ("d_out", d_out), ("rank", rank)):
+        require_number(name, value, integral=True, at_least=1)
     if mode.has_adapter and rank > min(d_in, d_out):
-        raise ParameterError(
-            f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}"
-        )
-    if alpha is None:
-        alpha = 1.0 / rank
-    if not 0 < alpha < np.inf:
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+        raise ParameterError(f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}")
     if w is None:
         w = randn((d_in, d_out), rng, std=1.0 / np.sqrt(d_in))
     elif w.shape != (d_in, d_out):
@@ -180,13 +176,15 @@ def init_adapter(
     if mode.has_adapter:
         a = randn((d_in, rank), rng)
         b = np.zeros((rank, d_out))
-    return AdaptedLinear(w, a, b, rank, alpha, mode)
+    return AdaptedLinear(w, a, b, rank, 1.0 / rank if alpha is None else alpha, mode)
 
 
-def _check_extent(what: str, x, extent: int) -> None:
-    """DimensionError unless x is a numpy array of reals whose last extent is the given one."""
-    if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf" or x.shape[-1:] != (extent,):
-        raise DimensionError(f"{what} must be a (..., {extent}) array of reals, got "
+def _check_extent(what: str, x, extent: int, lead: Optional[tuple] = None) -> None:
+    """DimensionError unless x is a real numpy array (..., extent), led by lead if given."""
+    if (not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf" or x.shape[-1:] != (extent,)
+            or lead is not None and x.shape[:-1] != lead):
+        want = f"(..., {extent})" if lead is None else str((*lead, extent))
+        raise DimensionError(f"{what} must be a {want} array of reals, got "
                              f"{getattr(x, 'dtype', '')} {getattr(x, 'shape', type(x).__name__)}")
 
 
@@ -274,13 +272,14 @@ def backward(
       lora:    dA = alpha * x^T (dy B^T),  dB = alpha * (x A)^T dy
       lora-fa: dB only, computed from the retained x@A; the full input is
                never touched (and is not there to touch).
-    dy must share its leading dims with the retained activations. numpy's
-    floating-point warning is a NumericsError, as in ops.numerics, whose
-    wrapper frame would hold kept until dx exists.
+    The retained arrays must be reals of width d_in or rank, led by dy's
+    leading dims. numpy's floating-point warning is a NumericsError, as in
+    ops.numerics, whose wrapper frame would hold kept until dx exists.
     """
     _check_extent("upstream", dy, layer.d_out)
-    if any(x is not None and x.shape[:-1] != dy.shape[:-1] for x in (kept._x_full, kept._x_low)):
-        raise DimensionError(f"upstream {dy.shape} differs from the retained input in its leading dims")
+    for name, n in (("x_full", layer.d_in), ("x_low", layer.rank)):  # names, not arrays
+        if getattr(kept, "has_" + name):
+            _check_extent("retained " + name, getattr(kept, name), n, dy.shape[:-1])
     dy2 = _fold(dy)
     try:
         grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}

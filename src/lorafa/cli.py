@@ -16,7 +16,8 @@ from typing import get_args, get_type_hints
 
 from . import equivalence, gradcheck, memory, optim, tasks
 from .adapters import Mode, init_adapter
-from .errors import LorafaError, NumericsError, ParameterError, ReconciliationError
+from .errors import (LorafaError, NumericsError, ParameterError, ReconciliationError,
+                     require_number)
 from .model import ModelConfig, backward, build_model, forward_loss
 from .rng import RngState, derive, randint, randn
 from .train import RunConfig, dumps_canonical, sweep, train_run
@@ -165,8 +166,7 @@ def _verdict(record: dict, key: str, value: float, threshold: float) -> bool:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     for flag in ("layers", "samples"):
-        if getattr(args, flag) < 1:
-            raise ParameterError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+        require_number(f"--{flag}", getattr(args, flag), integral=True, at_least=1)
     rng = RngState(args.seed)
     all_pass = True
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DimensionError, ModeError, NumericsError, ParameterError
-from .model import require_number
+from .errors import DimensionError, ModeError, NumericsError, require_number
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -83,9 +82,7 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     unit-variance normals.
     """
     for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
-        require_number(name, value, integral=True)
-        if value < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")
+        require_number(name, value, integral=True, at_least=1)
     acc = np.zeros((d, d))
     chunk = max(1, min(num_samples, 20000))
     left = num_samples

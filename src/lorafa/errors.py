@@ -1,4 +1,7 @@
-"""Exception hierarchy for the lorafa package."""
+"""Exception hierarchy for the lorafa package, and the rule for a number argument."""
+
+import math
+import numbers
 
 
 class LorafaError(Exception):
@@ -39,3 +42,27 @@ class DataError(LorafaError):
 
 class ReconciliationError(LorafaError):
     """Measured and analytic activation counts disagree."""
+
+
+def require_number(name: str, value, integral: bool = False, at_least=None,
+                   positive: bool = False) -> None:
+    """ParameterError unless value is an integer (if integral) or a finite real,
+    at least at_least if given, and above 0 if positive.
+
+    Config values arrive from JSON files, so a quoted "5", a true, an
+    Infinity or an integer beyond the float range must end in a config
+    error, not in a TypeError from the first comparison, an OverflowError
+    in the optimizer or a run that diverges.
+    """
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range, which only a count may be
+        finite = integral
+    if not finite:
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0 or at_least is not None and not value >= at_least:
+        bound = "positive" if positive else f">= {at_least}"
+        raise ParameterError(f"{name} must be {bound}, got {value!r}")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ops
-from .errors import DimensionError, ModeError, ParameterError
+from .errors import DimensionError, ModeError, require_number
 from .rng import RngState, randint, randn
 
 FD_STEP = 6e-6
@@ -126,12 +126,6 @@ def primitive_checks() -> list[OpCheck]:
     ]
 
 
-def _require_trials(trials: int) -> None:
-    # Zero trials would check nothing and still report a worst error of 0.
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-
-
 def _require_trainable(mode) -> None:
     # A mode that trains nothing emits no gradient to check.
     if not mode.trains:
@@ -139,8 +133,9 @@ def _require_trainable(mode) -> None:
 
 
 def check_primitives(seed: int = 0, trials: int = 20) -> dict[str, float]:
-    """Worst relative error per primitive over ``trials`` random shapes."""
-    _require_trials(trials)
+    """Worst relative error per primitive over ``trials`` random shapes (at least
+    one: zero would check nothing and still report a worst error of 0)."""
+    require_number("trials", trials, integral=True, at_least=1)
     results: dict[str, float] = {}
     for case in primitive_checks():
         rng = RngState(seed)
@@ -156,7 +151,7 @@ def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
     from . import adapters
 
     _require_trainable(mode)
-    _require_trials(trials)
+    require_number("trials", trials, integral=True, at_least=1)
     rng = RngState(seed)
     worst = 0.0
     for _ in range(trials):

@@ -34,7 +34,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .adapters import Mode, RetainedActivations
-from .errors import DataError, ParameterError, ReconciliationError
+from .errors import DataError, ParameterError, ReconciliationError, require_number
 from .model import ModelConfig, Tape, count_trainable_formula, tape_elements
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
@@ -87,8 +87,7 @@ def analytic_report(
     if not isinstance(mode, Mode):
         raise ParameterError(f"unknown mode {mode!r}")
     for name, value in (("rank", rank), ("b", b), ("s", s)):
-        if value < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")
+        require_number(name, value, integral=True, at_least=1)
     if activation_model == "paper_constant":
         full, low = _paper_constant_elements(config, mode, rank, b, s)
     else:
@@ -191,6 +190,8 @@ def reconcile(
     Raises ReconciliationError naming each field that differs. The
     paper-constant deltas are included informationally and never asserted.
     """
+    for name, value in (("rank", rank), ("b", b), ("s", s)):
+        require_number(name, value, integral=True, at_least=1)
     expected = tape_elements(config, mode, rank, b, s)
     got = measured.elements
     diffs = [

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,33 +42,10 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode, RetainedActivations
-from .errors import DataError, DimensionError, NumericsError, ParameterError
+from .errors import DataError, DimensionError, NumericsError, ParameterError, require_number
 from .rng import RngState, derive, randn
 
 IGNORE_TARGET = -1
-
-
-def require_number(name: str, value, integral: bool = False) -> None:
-    """ParameterError unless value is an integer (if integral) or a finite real.
-
-    Config values arrive from JSON files, so a quoted "5", a true, an
-    Infinity or an integer beyond the float range must end in a config
-    error, not in a TypeError from the first comparison, an OverflowError
-    in the optimizer or a run that diverges.
-    """
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParameterError(
-            f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}"
-        )
-    if integral:
-        return
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -85,13 +61,10 @@ class ModelConfig:
     d_ff: Optional[int] = None
 
     def __post_init__(self):
-        if self.d_ff is None:
-            require_number("d", self.d, integral=True)  # before d_ff derives from it
-            self.d_ff = 4 * self.d
         for name in ("d", "n_layers", "n_heads", "vocab", "seq_len", "batch_size", "d_ff"):
-            require_number(name, getattr(self, name), integral=True)
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+            if name == "d_ff" and self.d_ff is None:
+                self.d_ff = 4 * self.d  # d is checked by now
+            require_number(name, getattr(self, name), integral=True, at_least=1)
         if self.d % self.n_heads != 0:
             raise ParameterError(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
@@ -102,7 +75,8 @@ class ModelConfig:
 
 
 def check_rank(config: ModelConfig, mode: Mode, rank: int) -> None:
-    """ParameterError unless 1 <= rank, and rank <= config.max_rank in an adapter mode."""
+    """ParameterError unless rank is an integer >= 1, and <= config.max_rank in an adapter mode."""
+    require_number("rank", rank, integral=True)
     if rank < 1:
         raise ParameterError(f"rank {rank} is below 1")
     if mode.has_adapter and rank > config.max_rank:
@@ -139,6 +113,10 @@ class TransformerModel:
     lnf_gamma: np.ndarray
     lnf_beta: np.ndarray
 
+    def __post_init__(self):
+        require_number("rank", self.rank, integral=True, at_least=1)
+        require_number("alpha", self.alpha, positive=True)
+
     def adapted_layers(self) -> list[tuple[str, AdaptedLinear]]:
         out = []
         for i, block in enumerate(self.blocks):
@@ -169,8 +147,6 @@ def build_model(
     d, d_ff = config.d, config.d_ff
     tok_emb = randn((config.vocab, d), rng_e, std=1.0 / np.sqrt(d))
     pos_emb = randn((config.seq_len, d), rng_e, std=1.0 / np.sqrt(d))
-    if alpha is None:
-        alpha = 1.0 / rank
     blocks = []
     for _ in range(config.n_layers):
         layers = {}
@@ -191,7 +167,7 @@ def build_model(
         config=config,
         mode=mode,
         rank=rank,
-        alpha=alpha,
+        alpha=blocks[0].attn_q.alpha,  # init_adapter's, which states the default
         tok_emb=tok_emb,
         pos_emb=pos_emb,
         blocks=blocks,
@@ -460,15 +436,15 @@ def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads,
     return dx
 
 
-def _layer_norm_backward(model, dx, x_hat, inv, gamma, beta, dy, grads) -> None:
-    """Adds a block layer norm's input gradient into the stream gradient dx in
-    place; dy, the norm's dead upstream, takes the vjp's dx first."""
+def _layer_norm_backward(model, x_hat, inv, gamma, beta, dy, grads) -> np.ndarray:
+    """A layer norm's input gradient, built in dy, its dead upstream; files
+    dgamma and dbeta where they train."""
     dense = model.mode.trains_dense
-    dx_ln, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense, out=dy)
-    dx += dx_ln
+    dx, dg, db = ops.layer_norm_vjp(x_hat, inv, gamma, dy, param_grads=dense, out=dy)
     if dense:
         grads[id(gamma)] = dg
         grads[id(beta)] = db
+    return dx
 
 
 def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grads):
@@ -484,8 +460,8 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     df1 = ops.gelu_vjp(cache.take("gelu_in"), df1, out=df1)
     dh2 = _linear_backward(block, cache, "ffn1", df1, grads)
     del df1
-    _layer_norm_backward(model, dx, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,
-                         block.ln2_beta, dh2, grads)
+    dx += _layer_norm_backward(model, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,
+                               block.ln2_beta, dh2, grads)
     del dh2
 
     # x_mid = x_in + attn_o(attention(q, k, v))
@@ -511,8 +487,8 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
     dh1 += dh1_k
     dh1 += dh1_v
     del dh1_k, dh1_v
-    _layer_norm_backward(model, dx, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma,
-                         block.ln1_beta, dh1, grads)
+    dx += _layer_norm_backward(model, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma,
+                               block.ln1_beta, dh1, grads)
     return dx
 
 
@@ -542,14 +518,10 @@ def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
                                     @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
         tape.head_input = None
     del dlogits
-    dx, dgf, dbf = ops.layer_norm_vjp(
-        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, dh, param_grads=dense, out=dh
-    )
+    dx = _layer_norm_backward(model, tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma,
+                              model.lnf_beta, dh, grads)
     tape.lnf_xhat = tape.lnf_inv = None
     del dh  # dx's buffer, which the blocks own from here
-    if dense:
-        grads[id(model.lnf_gamma)] = dgf
-        grads[id(model.lnf_beta)] = dbf
     for block in reversed(model.blocks):
         # The popped cache dies when its block's backward returns.
         dx = _block_backward(model, block, tape.block_caches.pop(), dx, grads)
@@ -615,6 +587,7 @@ def count_trainable_formula(config: ModelConfig, mode: Mode, rank: int) -> int:
 
     Per block W holds 4d^2 + 2 d d_ff elements, and A and B r (5d + d_ff) each.
     """
+    require_number("rank", rank, integral=True, at_least=1)
     d, d_ff = config.d, config.d_ff
     adapter = rank * (5 * d + d_ff)
     per_block = {"w": 4 * d * d + 2 * d * d_ff, "a": adapter, "b": adapter}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateError
+from .errors import DimensionError, ParameterError, StateError, require_number
 
 Params = dict[str, np.ndarray]
 
@@ -26,8 +26,8 @@ class SGDConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ParameterError(f"learning rate must be positive, got {self.eta}")
+        require_number("eta", self.eta, positive=True)
+        require_number("weight_decay", self.weight_decay, at_least=0)
 
 
 @dataclass
@@ -39,12 +39,12 @@ class AdamWConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ParameterError(f"learning rate must be positive, got {self.eta}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+        for name in ("eta", "eps"):
+            require_number(name, getattr(self, name), positive=True)
+        for name in ("beta1", "beta2", "weight_decay"):
+            require_number(name, getattr(self, name), at_least=0)
+        if not (self.beta1 < 1.0 and self.beta2 < 1.0):
             raise ParameterError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_number
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -27,6 +27,10 @@ class RngState:
 
     seed: int
     position: int = 0
+
+    def __post_init__(self):
+        require_number("seed", self.seed, integral=True)
+        require_number("position", self.position, integral=True, at_least=0)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -43,7 +47,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _raw(rng: RngState, n: int) -> np.ndarray:
     """n raw uint64 words at the current position; advances the stream."""
     counters = _U64(rng.seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (
-        _U64(rng.position) + np.arange(n, dtype=np.uint64)
+        _U64(rng.position & 0xFFFFFFFFFFFFFFFF) + np.arange(n, dtype=np.uint64)
     )
     rng.position += n
     return _mix64(counters)
@@ -74,8 +78,7 @@ def randn(shape, rng: RngState, std: float = 1.0) -> np.ndarray:
 
     Consumes exactly 2 * prod(shape) stream positions.
     """
-    if not std > 0:
-        raise ParameterError(f"std must be positive, got {std}")
+    require_number("std", std, positive=True)
     n = int(np.prod(shape)) if shape else 1
     raw = _raw(rng, 2 * n)
     # u1 in (0, 1] so log never sees 0; u2 in [0, 1).

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_number
 from .model import IGNORE_TARGET
 from .rng import RngState, derive, randint, uniform
 
@@ -40,8 +40,10 @@ class Dataset:
 
     def batch(self, step: int, batch_size: int):
         """Deterministic wrap-around batching."""
+        require_number("step", step, integral=True, at_least=0)
+        require_number("batch_size", batch_size, integral=True, at_least=1)
         n = len(self)
-        idx = (step * batch_size + np.arange(batch_size)) % n
+        idx = (step * batch_size % n + np.arange(batch_size)) % n  # Python ints fit any step
         return self.tokens[idx], self.targets[idx]
 
 
@@ -49,12 +51,9 @@ def check_task(kind: str, vocab: int, seq_len: int, n_examples: int) -> None:
     """ParameterError unless gen_task can build this task; RunConfig checks it too."""
     if kind not in TASK_KINDS:
         raise ParameterError(f"task must be one of {TASK_KINDS}, got {kind!r}")
-    if vocab < 4:
-        raise ParameterError(f"vocab must be >= 4 ({NUM_RESERVED} reserved tokens), got {vocab}")
-    if seq_len < 4:
-        raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
-    if n_examples < 1:
-        raise ParameterError("n_examples must be >= 1")
+    require_number("vocab", vocab, integral=True, at_least=NUM_RESERVED + 1)
+    require_number("seq_len", seq_len, integral=True, at_least=4)
+    require_number("n_examples", n_examples, integral=True, at_least=1)
 
 
 def gen_task(kind: str, vocab: int, seq_len: int, n_examples: int, seed: int) -> Dataset:

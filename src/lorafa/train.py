@@ -14,7 +14,7 @@ import numpy as np
 from . import adapters, memory, optim
 from .adapters import Mode
 from .equivalence import SUBSPACE_PASS_RESIDUAL, subspace_check
-from .errors import LorafaError, NumericsError, ParameterError
+from .errors import LorafaError, NumericsError, ParameterError, require_number
 from .model import (
     ModelConfig,
     Tape,
@@ -24,7 +24,6 @@ from .model import (
     check_rank,
     count_trainable,
     forward_loss,
-    require_number,
     trainable_params,
 )
 from .rng import RngState, derive
@@ -55,14 +54,13 @@ class RunConfig:
     report_path: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("rank", "steps", "seed", "n_examples", "warmup_steps", "equiv_every"):
-            require_number(name, getattr(self, name), integral=True)
-        for name in ("lr", "weight_decay"):
-            require_number(name, getattr(self, name))
+        for name in ("steps", "warmup_steps", "equiv_every"):
+            require_number(name, getattr(self, name), integral=True, at_least=0)
+        require_number("seed", self.seed, integral=True)
+        require_number("lr", self.lr, positive=True)
+        require_number("weight_decay", self.weight_decay, at_least=0)
         if self.alpha is not None:
-            require_number("alpha", self.alpha)
-            if not self.alpha > 0:
-                raise ParameterError(f"alpha must be positive, got {self.alpha}")
+            require_number("alpha", self.alpha, positive=True)
         if self.report_path is not None and not isinstance(self.report_path, str):
             raise ParameterError(f"report_path must be a string, got {self.report_path!r}")
         if self.optimizer not in optim.OPTIMIZERS:
@@ -79,13 +77,6 @@ class RunConfig:
             size = (f"{float(largest):.3g} elements" if largest <= sys.float_info.max
                     else "a count beyond the float range")
             raise ParameterError(f"the largest array needs {size}, more than numpy can index")
-        if self.steps < 0:
-            raise ParameterError("steps must be >= 0")
-        if not self.lr > 0:
-            raise ParameterError("lr must be positive")
-        for name in ("weight_decay", "warmup_steps", "equiv_every"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
