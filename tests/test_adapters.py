@@ -108,6 +108,14 @@ def _kept(layer):
     return adapters.forward(layer, np.ones((2, 6)))[1]
 
 
+def _retained(layer, dtype, width_less=0):
+    """What the layer's mode retains for two rows, of dtype, each array narrower by width_less."""
+    def rows(width, kept):
+        return np.ones((2, width - width_less), dtype=dtype) if kept else None
+    return adapters.RetainedActivations(rows(layer.d_in, layer.mode.retains_full_input),
+                                        rows(layer.rank, layer.mode.has_adapter))
+
+
 @pytest.mark.parametrize("call", [
     lambda layer: adapters.forward(layer, [[1.0] * 6]),
     lambda layer: adapters.forward(layer, np.array(1.0)),
@@ -117,8 +125,11 @@ def _kept(layer):
     lambda layer: adapters.forward(layer, np.ones((2, 6), dtype=complex)),
     lambda layer: adapters.forward(layer, np.ones((2, 6)), gelu_into=np.zeros((2, 5), dtype=int)),
     lambda layer: adapters.backward(layer, _kept(layer), np.full((2, 5), "a")),
+    lambda layer: adapters.backward(layer, _retained(layer, complex), np.ones((2, 5))),
+    lambda layer: adapters.backward(layer, _retained(layer, float, width_less=1), np.ones((2, 5))),
 ], ids=["forward-list", "forward-0d", "stream-list", "backward-list", "backward-leading-dims",
-        "forward-complex", "stream-int", "backward-string"])
+        "forward-complex", "stream-int", "backward-string", "backward-retained-complex",
+        "backward-retained-width"])
 @pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
 def test_bad_operands_are_dimension_errors(mode, call):
     # not numpy's AttributeError, IndexError or ValueError
