@@ -277,9 +277,10 @@ def backward(
     ops.numerics, whose wrapper frame would hold kept until dx exists.
     """
     _check_extent("upstream", dy, layer.d_out)
-    for name, n in (("x_full", layer.d_in), ("x_low", layer.rank)):  # names, not arrays
-        if getattr(kept, "has_" + name):
-            _check_extent("retained " + name, getattr(kept, name), n, dy.shape[:-1])
+    if kept.has_x_full:
+        _check_extent("retained input", kept.x_full, layer.d_in, dy.shape[:-1])
+    if kept.has_x_low:
+        _check_extent("retained x@A", kept.x_low, layer.rank, dy.shape[:-1])
     dy2 = _fold(dy)
     try:
         grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}

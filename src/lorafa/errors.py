@@ -1,7 +1,7 @@
 """Exception hierarchy for the lorafa package, and the rule for a number argument."""
 
-import math
 import numbers
+import sys
 
 
 class LorafaError(Exception):
@@ -57,11 +57,7 @@ def require_number(name: str, value, integral: bool = False, at_least=None,
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParameterError(f"{name} must be {what}, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range, which only a count may be
-        finite = integral
-    if not finite:
+    if not integral and not abs(value) <= sys.float_info.max:  # NaN, +-Inf, beyond the float range
         raise ParameterError(f"{name} must be finite, got {value!r}")
     if positive and not value > 0 or at_least is not None and not value >= at_least:
         bound = "positive" if positive else f">= {at_least}"
