@@ -32,44 +32,28 @@ import numpy as np
 
 from . import ops
 from .errors import (DimensionError, ModeError, NumericsError, ParameterError,
-                     RetentionPolicyError, require_number)
+                     RetentionPolicyError, require_array_size, require_number)
 from .ops import matmul
 from .rng import RngState, randn
 
 
 class Mode(str, Enum):
-    FT = "ft"
-    LORA = "lora"
-    LORA_FA = "lora-fa"
-    FROZEN = "frozen"
+    """The mode table: each member is its value, the tensors of each adapted
+    linear that train, in parameter order, and whether embeddings and layer
+    norms train too. has_adapter and retains_full_input follow from the row."""
 
-    @property
-    def trains(self) -> tuple[str, ...]:
-        """The tensors of each adapted linear that train, in parameter order."""
-        return _MODE_TABLE[self.value][0]
+    FT = "ft", ("w",), True
+    LORA = "lora", ("a", "b"), False
+    LORA_FA = "lora-fa", ("b",), False
+    FROZEN = "frozen", (), False
 
-    @property
-    def trains_dense(self) -> bool:
-        """Whether embeddings and layer norms train too."""
-        return _MODE_TABLE[self.value][1]
-
-    @property
-    def has_adapter(self) -> bool:
-        return "b" in self.trains
-
-    @property
-    def retains_full_input(self) -> bool:
-        return "w" in self.trains or "a" in self.trains
-
-
-# The mode table, (linear tensors that train, trains_dense); every other
-# mode-dependent fact is derived from it.
-_MODE_TABLE = {
-    "ft": (("w",), True),
-    "lora": (("a", "b"), False),
-    "lora-fa": (("b",), False),
-    "frozen": ((), False),
-}
+    def __new__(cls, value: str, trains: tuple[str, ...], trains_dense: bool):
+        mode = str.__new__(cls, value)
+        mode._value_ = value
+        mode.trains, mode.trains_dense = trains, trains_dense
+        mode.has_adapter = "b" in trains
+        mode.retains_full_input = "w" in trains or "a" in trains
+        return mode
 
 
 class RetainedActivations:
@@ -166,6 +150,7 @@ def init_adapter(
     """
     for name, value in (("d_in", d_in), ("d_out", d_out), ("rank", rank)):
         require_number(name, value, integral=True, at_least=1)
+    require_array_size("a d_in x d_out normal draw", 2 * d_in * d_out)  # randn takes 2 words a draw
     if mode.has_adapter and rank > min(d_in, d_out):
         raise ParameterError(f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}")
     if w is None:
@@ -218,10 +203,7 @@ def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> 
     is y + out bit for bit), so it must be C-contiguous, for its rows to be
     views, and retained by nothing.
     """
-    if (not isinstance(out, np.ndarray) or out.shape != x.shape[:-1] + (layer.d_out,)
-            or not out.flags.c_contiguous or out.dtype.kind != "f"):
-        raise DimensionError(f"forward gelu_into must be a C-contiguous float {x.shape[:-1]} x "
-                             f"{layer.d_out} array, got {getattr(out, 'shape', type(out).__name__)}")
+    ops._check_out("forward gelu_into", out, x.shape[:-1] + (layer.d_out,))
     w = _merged(layer)
     x_full = ops.gelu(x) if layer.mode.retains_full_input else None
     x_low = np.empty(x.shape[:-1] + (layer.rank,)) if layer.mode.has_adapter else None

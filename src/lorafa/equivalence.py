@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DimensionError, ModeError, NumericsError, require_number
+from .errors import DimensionError, ModeError, NumericsError, require_array_size, require_number
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -83,14 +83,12 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     """
     for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
         require_number(name, value, integral=True, at_least=1)
+    chunk = min(num_samples, 20000)
+    require_array_size("an array", max(d * d, 2 * chunk * d * r))  # A A^T, a chunk's draw
     acc = np.zeros((d, d))
-    chunk = max(1, min(num_samples, 20000))
-    left = num_samples
-    while left > 0:
-        m = min(chunk, left)
-        a = randn((m, d, r), rng)
+    for lo in range(0, num_samples, chunk):
+        a = randn((min(chunk, num_samples - lo), d, r), rng)
         acc += np.einsum("mik,mjk->ij", a, a)
-        left -= m
     mean = acc / num_samples
     target = r * np.eye(d)
     return float(np.linalg.norm(mean - target) / np.linalg.norm(target))

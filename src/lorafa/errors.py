@@ -1,7 +1,9 @@
-"""Exception hierarchy for the lorafa package, and the rule for a number argument."""
+"""Exception hierarchy for the lorafa package, and the rules for a number and an array size."""
 
 import numbers
 import sys
+
+import numpy as np
 
 
 class LorafaError(Exception):
@@ -62,3 +64,12 @@ def require_number(name: str, value, integral: bool = False, at_least=None,
     if positive and not value > 0 or at_least is not None and not value >= at_least:
         bound = "positive" if positive else f">= {at_least}"
         raise ParameterError(f"{name} must be {bound}, got {value!r}")
+
+
+def require_array_size(what: str, elements: int) -> None:
+    """ParameterError unless an array of this many elements is within numpy's index
+    range, np.iinfo(np.intp).max: the upper bound on every count that sizes an array."""
+    if elements > np.iinfo(np.intp).max:
+        size = (f"{float(elements):.3g} elements" if elements <= sys.float_info.max
+                else "a count beyond the float range")
+        raise ParameterError(f"{what} needs {size}, more than numpy can index")

@@ -17,9 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ops
+from . import adapters, ops
 from .errors import DimensionError, ModeError, require_number
-from .rng import RngState, randint, randn
+from .model import ModelConfig, backward, build_model, forward_loss, trainable_params
+from .rng import RngState, derive, randint, randn
 
 FD_STEP = 6e-6
 # Relative-error denominators are floored so that finite-difference noise on
@@ -148,8 +149,6 @@ def check_primitives(seed: int = 0, trials: int = 20) -> dict[str, float]:
 
 def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
     """FD-check every gradient an adapted layer emits, via loss = 0.5 ||y||^2."""
-    from . import adapters
-
     _require_trainable(mode)
     require_number("trials", trials, integral=True, at_least=1)
     rng = RngState(seed)
@@ -176,9 +175,6 @@ def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
 
 def check_tiny_model(mode, seed: int = 0, d: int = 8, n_layers: int = 1, vocab: int = 11) -> float:
     """FD-check the full backward pass of a tiny transformer against its loss."""
-    from .model import ModelConfig, backward, build_model, forward_loss, trainable_params
-    from .rng import derive
-
     _require_trainable(mode)
     rng = RngState(seed)
     config = ModelConfig(

@@ -24,8 +24,8 @@ For lora/lora-fa low-rank terms the two flavors disagree (4 b s r L versus
 6 b s r L elements, the constant apparently counting four adapted layers
 instead of six); reconcile() reports that delta instead of asserting it.
 Everything outside linear inputs (attention, GeLU, layernorm, loss
-softmax) is metered and reconciled field by field too, but still excluded
-from the analytic totals (activation_bytes_other is 0).
+log-probabilities) is metered and reconciled field by field too, but
+still excluded from the analytic totals (activation_bytes_other is 0).
 """
 
 from __future__ import annotations
@@ -144,14 +144,14 @@ class MeasuredActivations:
 def measured_activation_elements(tape: Tape) -> MeasuredActivations:
     """Count the elements of every array a forward tape retains, by field.
 
-    Walks each block cache's attributes, then the Tape's own but tokens,
+    Walks each block cache's attributes, then the Tape's own but its inputs,
     so an array added to either is counted under its name. A tensor
     referenced by several layers (the shared query/key/value input) is
     counted once, attributed to the first layer that retained it. A tape
     without a loss, which includes one that backward consumed, is a
     DataError: it would count as nothing retained.
     """
-    if tape.dlogits is None:
+    if tape.log_probs is None:
         raise DataError("tape has no loss; meter it after forward_loss, before backward")
     seen: set[int] = set()
     elements: dict = {}
@@ -167,7 +167,7 @@ def measured_activation_elements(tape: Tape) -> MeasuredActivations:
             if isinstance(v, RetainedActivations):
                 elements[prefix + name] = {"full": count(v.x_full) if v.has_x_full else 0,
                                            "low": count(v.x_low) if v.has_x_low else 0}
-            elif name not in ("tokens", "block_caches"):
+            elif name not in ("tokens", "targets", "block_caches"):
                 elements[prefix + name] = count(v)
 
     for i, cache in enumerate(tape.block_caches):

@@ -4,11 +4,12 @@ Backprop here is a fixed tape over the known block structure, not a
 general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
 mode's retention policy. The memory meter counts the same tape, filing all
-else (attention, GeLU, layernorm, loss gradient) under "other". Liveness
+else (attention, GeLU, layernorm, log-softmax) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape: a linear layer's retained inputs, GeLU's
-input and the loss gradient, final layernorm and head arrays go at their
-last read, a block's other arrays once its backward returns. Last reads
+input and the log-softmax, which the loss gradient is built from, final
+layernorm and head arrays go at their last read, a block's other arrays
+once its backward returns. Last reads
 come first where the order is free: each linear builds its parameter
 gradients, which read its retained inputs last, before its merged weight
 and dx; each layer norm's vjp takes dgamma/dbeta from its upstream and
@@ -216,15 +217,16 @@ class Tape:
     """The arrays one forward pass retained for backward, and nothing else.
 
     Backward consumes it and the activation meter counts it: the block
-    caches, then every other field but tokens, each sized by tape_elements.
+    caches, then every other field but tokens and targets, each sized by tape_elements.
     """
 
     tokens: Optional[np.ndarray] = None
+    targets: Optional[np.ndarray] = None
     block_caches: list[BlockCache] = field(default_factory=list)
     lnf_xhat: Optional[np.ndarray] = None
     lnf_inv: Optional[np.ndarray] = None
     head_input: Optional[np.ndarray] = None  # ft only
-    dlogits: Optional[np.ndarray] = None  # the loss gradient forward_loss leaves
+    log_probs: Optional[np.ndarray] = None  # the loss's log-softmax
 
     def clear(self) -> None:
         """Drop every retained array, as backward leaves the tape it consumed."""
@@ -257,7 +259,7 @@ def tape_elements(config: ModelConfig, mode: Mode, rank: int, b: int, s: int) ->
         )
         out.update((f"block{i}.{name}", n) for name, n in cache.items())
     out.update(lnf_xhat=bsd, lnf_inv=bs, head_input=bsd * mode.trains_dense,
-               dlogits=bs * config.vocab)
+               log_probs=bs * config.vocab)
     return out
 
 
@@ -401,23 +403,16 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     if count == 0:
         raise DataError("no supervised positions in targets")
     logits, tape = _forward(model, tokens)
-    # log_probs = (logits - max) - logz and probs = exp(log_probs), in the
-    # logits' buffer and one more (which first holds exp(logits - max)).
+    # log_probs = (logits - max) - logz, in the logits' buffer.
     log_probs = logits
     log_probs -= logits.max(axis=-1, keepdims=True)
-    probs = np.exp(log_probs)
-    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
-    np.exp(log_probs, out=probs)
+    log_probs -= np.log(np.sum(np.exp(log_probs), axis=-1, keepdims=True))
     picked = np.where(mask, targets, 0)[..., None]
     ll = np.take_along_axis(log_probs, picked, axis=-1)[..., 0]
     loss = -float(np.sum(ll[mask])) / count
     if not np.isfinite(loss):
         raise NumericsError("loss is not finite")
-    # The fused softmax-cross-entropy gradient, (probs - onehot) / count on
-    # supervised positions and 0 elsewhere, in probs' buffer.
-    np.put_along_axis(probs, picked, np.take_along_axis(probs, picked, axis=-1) - 1.0, axis=-1)
-    probs *= mask[..., None] / count
-    tape.dlogits = probs
+    tape.targets, tape.log_probs = targets, log_probs
     return loss, tape
 
 
@@ -495,21 +490,27 @@ def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grad
 def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
     """Gradients for exactly the mode's trainable set, keyed like trainable_params.
 
-    Backward does the work the tape allows, and consumes it: it starts from
-    tape.dlogits in place, drops each array at its last read (the module
-    docstring says when), writes into none and leaves the tape empty, so a
-    second backward is a DataError. A block whose cache holds no ln1 stats
+    Backward does the work the tape allows, and consumes it: it builds the
+    loss gradient from tape.log_probs, drops each array at its last read (the
+    module docstring says when), writes into none and leaves the tape empty,
+    so a second backward is a DataError. A block whose cache holds no ln1 stats
     (block 0 outside ft) returns no input gradient and skips its ln1 vjp;
     dgamma/dbeta exist only in ft; frozen mode returns {}. Gradients are
     filed under id() of their tensor; a NaN/Inf in one is a NumericsError.
     """
-    if tape.dlogits is None:
+    if tape.log_probs is None:
         raise DataError("tape has no loss; run forward_loss first")
     dense = model.mode.trains_dense
     if not (model.mode.trains or dense):
         tape.clear()
         return {}
-    dlogits, tape.dlogits = tape.dlogits, None
+    # The fused softmax-cross-entropy gradient: (softmax - onehot) / count where supervised, else 0.
+    dlogits, tape.log_probs = np.exp(tape.log_probs), None
+    mask = tape.targets != IGNORE_TARGET
+    picked = np.where(mask, tape.targets, 0)[..., None]
+    np.put_along_axis(dlogits, picked, np.take_along_axis(dlogits, picked, axis=-1) - 1.0, axis=-1)
+    dlogits *= mask[..., None] / int(mask.sum())
+    del mask, picked
 
     grads: dict[int, np.ndarray] = {}
     dh = ops.matmul(dlogits, model.tok_emb)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_number
+from .errors import ParameterError, require_array_size, require_number
 from .model import IGNORE_TARGET
 from .rng import RngState, derive, randint, uniform
 
@@ -42,6 +42,7 @@ class Dataset:
         """Deterministic wrap-around batching."""
         require_number("step", step, integral=True, at_least=0)
         require_number("batch_size", batch_size, integral=True, at_least=1)
+        require_array_size("a batch", batch_size * self.seq_len)
         n = len(self)
         idx = (step * batch_size % n + np.arange(batch_size)) % n  # Python ints fit any step
         return self.tokens[idx], self.targets[idx]
@@ -54,6 +55,9 @@ def check_task(kind: str, vocab: int, seq_len: int, n_examples: int) -> None:
     require_number("vocab", vocab, integral=True, at_least=NUM_RESERVED + 1)
     require_number("seq_len", seq_len, integral=True, at_least=4)
     require_number("n_examples", n_examples, integral=True, at_least=1)
+    # char-lm's successor table is (vocab - 3) x 2; its bound keeps every id an int64.
+    require_array_size("the token table", n_examples * seq_len)
+    require_array_size("the successor table", 2 * (vocab - NUM_RESERVED))
 
 
 def gen_task(kind: str, vocab: int, seq_len: int, n_examples: int, seed: int) -> Dataset:

@@ -4,7 +4,6 @@ compact separators, so a parse and re-write gives the same bytes."""
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
@@ -14,7 +13,7 @@ import numpy as np
 from . import adapters, memory, optim
 from .adapters import Mode
 from .equivalence import SUBSPACE_PASS_RESIDUAL, subspace_check
-from .errors import LorafaError, NumericsError, ParameterError, require_number
+from .errors import LorafaError, NumericsError, ParameterError, require_array_size, require_number
 from .model import (
     ModelConfig,
     Tape,
@@ -71,12 +70,8 @@ class RunConfig:
         # Token embedding, ffn weight, widest activation and attention scores:
         # the largest array a run builds must be within numpy's index range.
         m, b, s = self.model, self.model.batch_size, self.model.seq_len
-        largest = max(m.vocab * m.d, m.d * m.d_ff, b * s * max(m.vocab, m.d, m.d_ff),
-                      b * m.n_heads * s * s)
-        if largest > np.iinfo(np.intp).max:
-            size = (f"{float(largest):.3g} elements" if largest <= sys.float_info.max
-                    else "a count beyond the float range")
-            raise ParameterError(f"the largest array needs {size}, more than numpy can index")
+        require_array_size("the largest array", max(
+            m.vocab * m.d, m.d * m.d_ff, b * s * max(m.vocab, m.d, m.d_ff), b * m.n_heads * s * s))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -135,21 +130,35 @@ class RunReport:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunReport":
+        """The report a parsed JSON object holds; one that to_json would not write
+        is a ParameterError. Of the memory and equivalence records only the
+        containers are checked: objects, and a list of objects."""
+        if not isinstance(d, dict):
+            raise ParameterError("a run report must be a JSON object")
+        _check_keys(d, RunReport)
+        if d["schema_version"] != SCHEMA_VERSION or d["status"] not in ("ok", "diverged"):
+            raise ParameterError(f"a run report has schema_version {SCHEMA_VERSION} and status ok "
+                                 f"or diverged, got {d['schema_version']!r} and {d['status']!r}")
+        RunConfig.from_dict(d["config"])
+        records = [(name, dict) for name in d if name.startswith(("memory_", "reconciliation"))]
+        for name, kind in [*records, ("loss_curve", list), ("equivalence", list)]:
+            if not isinstance(d[name], kind):
+                raise ParameterError(f"{name} must be a {kind.__name__}, got {d[name]!r}")
+        if not all(isinstance(entry, dict) for entry in d["equivalence"]):
+            raise ParameterError("equivalence must be a list of JSON objects")
+        for loss in d["loss_curve"] + ([] if d["final_loss"] is None else [d["final_loss"]]):
+            require_number("a loss", loss)
+        for name in ("trainable_linear_only", "trainable_full", "wall_clock_s"):
+            require_number(name, d[name], integral=name != "wall_clock_s", at_least=0)
         return RunReport(**d)
 
 
 def _eval_loss(model: TransformerModel, dataset: Dataset, batch_size: int) -> float:
     """Mean loss over the full dataset, batched deterministically."""
-    n = len(dataset)
-    total = 0.0
-    batches = 0
-    for start in range(0, n, batch_size):
-        tokens = dataset.tokens[start : start + batch_size]
-        targets = dataset.targets[start : start + batch_size]
-        loss, _ = forward_loss(model, tokens, targets)
-        total += loss
-        batches += 1
-    return total / batches
+    losses = [forward_loss(model, dataset.tokens[lo : lo + batch_size],
+                           dataset.targets[lo : lo + batch_size])[0]
+              for lo in range(0, len(dataset), batch_size)]
+    return sum(losses) / len(losses)
 
 
 def _merged_weights(model: TransformerModel) -> dict[str, np.ndarray]:
@@ -196,12 +205,9 @@ def train_run(cfg: RunConfig) -> RunReport:
         return cfg.lr
 
     counts = count_trainable(model)
-    analytic_pc = memory.analytic_report(
-        mc, cfg.mode, cfg.rank, mc.batch_size, mc.seq_len, activation_model="paper_constant"
-    )
-    analytic_plc = memory.analytic_report(
-        mc, cfg.mode, cfg.rank, mc.batch_size, mc.seq_len, activation_model="per_layer_count"
-    )
+    analytic = {kind: memory.analytic_report(mc, cfg.mode, cfg.rank, mc.batch_size, mc.seq_len,
+                                             kind).to_dict()
+                for kind in ("paper_constant", "per_layer_count")}
 
     merged_0 = _merged_weights(model) if cfg.mode.has_adapter and cfg.equiv_every > 0 else None
     equivalence: list[dict] = []
@@ -245,8 +251,8 @@ def train_run(cfg: RunConfig) -> RunReport:
         final_loss=final_loss,
         trainable_linear_only=counts.linear_only,
         trainable_full=counts.full,
-        memory_analytic_paper_constant=analytic_pc.to_dict(),
-        memory_analytic_per_layer_count=analytic_plc.to_dict(),
+        memory_analytic_paper_constant=analytic["paper_constant"],
+        memory_analytic_per_layer_count=analytic["per_layer_count"],
         memory_measured=measured_dict,
         reconciliation=reconciliation,
         equivalence=equivalence,

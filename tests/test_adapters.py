@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,29 @@ def make_layer(mode, d_in=6, d_out=5, rank=3, alpha=None, seed=0, random_b=False
     if random_b and layer.b is not None:
         layer.b[:] = randn(layer.b.shape, RngState(seed + 1000))
     return layer
+
+
+# --- the mode table -----------------------------------------------------------
+
+@pytest.mark.parametrize("mode,value,trains,trains_dense,has_adapter,retains_full_input", [
+    (Mode.FT, "ft", ("w",), True, False, True),
+    (Mode.LORA, "lora", ("a", "b"), False, True, True),
+    (Mode.LORA_FA, "lora-fa", ("b",), False, True, False),
+    (Mode.FROZEN, "frozen", (), False, False, False),
+])
+def test_each_mode_carries_its_row(mode, value, trains, trains_dense, has_adapter,
+                                   retains_full_input):
+    assert (mode.value, mode.trains, mode.trains_dense) == (value, trains, trains_dense)
+    assert (mode.has_adapter, mode.retains_full_input) == (has_adapter, retains_full_input)
+    assert Mode(value) is mode and mode == value
+    assert pickle.loads(pickle.dumps(mode)) is mode
+    assert (str(mode), repr(mode)) == (f"Mode.{mode.name}", f"<Mode.{mode.name}: {value!r}>")
+
+
+def test_modes_keep_their_order():
+    assert [m.value for m in Mode] == ["ft", "lora", "lora-fa", "frozen"]
+    with pytest.raises(ValueError):
+        Mode("lora_fa")
 
 
 # --- initialization ---------------------------------------------------------

@@ -209,7 +209,12 @@ def _ref_block_backward(model, block, cache, dx, grads, pre):
 
 
 def _ref_backward(model, tape):
-    dlogits = tape.dlogits.copy()
+    # (softmax - onehot) * mask / count, from the tape's log-softmax and targets.
+    dlogits = np.exp(tape.log_probs)
+    mask = tape.targets != IGNORE_TARGET
+    safe = np.where(mask, tape.targets, 0)[..., None]
+    np.put_along_axis(dlogits, safe, np.take_along_axis(dlogits, safe, axis=-1) - 1.0, axis=-1)
+    dlogits *= mask[..., None] / int(mask.sum())
     grads = {}
     d2 = dlogits.reshape(-1, dlogits.shape[-1])
     if tape.head_input is not None:
@@ -430,24 +435,35 @@ def test_targets_are_validated_before_the_forward_pass(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_forward_loss_leaves_the_cross_entropy_gradient(mode):
-    # (softmax - onehot) * mask / count, in the op order backward used to
-    # build it from the tape's softmax; ignored positions are exactly 0.
+    # The tape keeps what the gradient is built from: the log-softmax, bit for
+    # bit the reference expression's, and the targets; the loss is its mean
+    # negative at the supervised targets.
     m = build_model(CFG, mode, rank=2, rng=RngState(3))
     tokens, targets = data(14)
     targets[0, :3] = IGNORE_TARGET
     logits = forward_logits(m, tokens)
-    log_probs = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(log_probs)
-    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
-    np.exp(log_probs, out=probs)
+    want = logits - logits.max(axis=-1, keepdims=True)
+    want -= np.log(np.sum(np.exp(want), axis=-1, keepdims=True))
     mask = targets != IGNORE_TARGET
-    safe = np.where(mask, targets, 0)[..., None]
-    want = probs.copy()
-    np.put_along_axis(want, safe, np.take_along_axis(want, safe, axis=-1) - 1.0, axis=-1)
-    want *= mask[..., None] / int(mask.sum())
-    _, tape = forward_loss(m, tokens, targets)
-    assert tape.dlogits.tobytes() == want.tobytes()
-    assert not tape.dlogits[~mask].any()
+    loss, tape = forward_loss(m, tokens, targets)
+    assert tape.log_probs.tobytes() == want.tobytes()
+    assert np.array_equal(tape.targets, targets)
+    picked = np.take_along_axis(want, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
+    assert loss == -float(np.sum(picked[mask])) / int(mask.sum())
+
+
+def test_forward_loss_does_no_gradient_work(monkeypatch):
+    # Only backward builds the loss gradient, with the one-hot scatter that
+    # put_along_axis makes: forward_loss never calls it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("put_along_axis called")
+
+    monkeypatch.setattr(np, "put_along_axis", refuse)
+    m = build_model(CFG, Mode.LORA_FA, rank=2, rng=RngState(3))
+    loss, tape = forward_loss(m, *data(14))
+    assert np.isfinite(loss)
+    with pytest.raises(AssertionError, match="put_along_axis called"):
+        backward(m, tape)
 
 
 @pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])

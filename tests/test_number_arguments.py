@@ -82,6 +82,13 @@ PROBES = {
     "init_adapter(0, 4, ...)": lambda: init_adapter(0, 4, 1, None, Mode.FT, RngState(0)),
     "init_adapter(rank='2')": lambda: init_adapter(4, 4, "2", None, Mode.LORA, RngState(0)),
     "build_model(alpha='x')": lambda: build_model(CFG, Mode.LORA, 2, "x"),
+    "gen_task(vocab=10**400)": lambda: gen_task("copy", 10**400, 8, 4, 0),
+    "gen_task(seq_len=10**400)": lambda: gen_task("copy", 12, 10**400, 4, 0),
+    "gen_task(n_examples=10**400)": lambda: gen_task("char-lm", 12, 8, 10**400, 0),
+    "gen_task(n_examples=2**62)": lambda: gen_task("copy", 12, 8, 2**62, 0),
+    "Dataset.batch(0, 10**400)": lambda: DATA.batch(0, 10**400),
+    "init_adapter(d_in=2**62)": lambda: init_adapter(2**62, 4, 1, None, Mode.FT, RngState(0)),
+    "estimate_unbiasedness(d=2**32)": lambda: estimate_unbiasedness(2**32, 2, 10, RngState(0)),
 }
 
 
@@ -93,10 +100,13 @@ def test_a_probed_bad_number_is_a_parameter_error(call):
 
 # --- the draw table ---------------------------------------------------------------
 
-# Parameter kinds. A count sizes arrays or loops, so an integer beyond the
-# float range is not drawn for it: that would ask for the work, which no rule
-# bounds from above. An optional parameter takes None as its default.
-INT, COUNT, FLOAT, OPT_INT, OPT_FLOAT = "int", "count", "float", "int?", "float?"
+# Parameter kinds. A size counts the elements of an array the call allocates,
+# and errors.require_array_size bounds it by numpy's index range, so integers
+# beyond that range and the float range are drawn for it. A loop count bounds
+# work, which no rule bounds from above, so no integer beyond the float range
+# is drawn for it. An optional parameter takes None as its default.
+INT, SIZE, LOOP, FLOAT, OPT_INT, OPT_FLOAT = "int", "size", "loop", "float", "int?", "float?"
+INTEGRAL = (INT, SIZE, LOOP, OPT_INT)
 
 
 def _replace_model(**kw):
@@ -133,34 +143,36 @@ DRAWS = [
     ("count_trainable_formula", count_trainable_formula,
      dict(config=CFG, mode=Mode.LORA, rank=2), dict(rank=INT)),
     ("estimate_unbiasedness", estimate_unbiasedness,
-     dict(d=4, r=2, num_samples=10, rng=RngState(0)), dict(d=COUNT, r=COUNT, num_samples=COUNT)),
+     dict(d=4, r=2, num_samples=10, rng=RngState(0)), dict(d=SIZE, r=SIZE, num_samples=LOOP)),
     ("gen_task", gen_task, dict(kind="copy", vocab=12, seq_len=8, n_examples=4, seed=0),
-     dict(vocab=COUNT, seq_len=COUNT, n_examples=COUNT, seed=INT)),
+     dict(vocab=SIZE, seq_len=SIZE, n_examples=SIZE, seed=INT)),
     ("init_adapter", init_adapter,
      dict(d_in=4, d_out=3, rank=2, alpha=None, mode=Mode.LORA, rng=RngState(0)),
-     dict(d_in=COUNT, d_out=COUNT, rank=INT, alpha=OPT_FLOAT)),
+     dict(d_in=SIZE, d_out=SIZE, rank=INT, alpha=OPT_FLOAT)),
     ("randn", randn, dict(shape=(2,), rng=RngState(0)), dict(std=FLOAT)),
     ("reconcile", reconcile,
      dict(config=CFG, mode=Mode.LORA_FA, rank=2, measured=MEASURED, b=2, s=8),
      dict(rank=INT, b=INT, s=INT)),
     ("verify_sgd_equivalence", verify_sgd_equivalence, dict(layer=LAYER, x=_X, dy=_DY, eta=0.1),
      dict(eta=FLOAT)),
-    ("Dataset.batch", DATA.batch, dict(step=0, batch_size=2), dict(step=INT, batch_size=COUNT)),
-    ("check_primitives", check_primitives, dict(seed=0, trials=1), dict(seed=INT, trials=COUNT)),
+    ("Dataset.batch", DATA.batch, dict(step=0, batch_size=2), dict(step=INT, batch_size=SIZE)),
+    ("check_primitives", check_primitives, dict(seed=0, trials=1), dict(seed=INT, trials=LOOP)),
     ("check_adapter_layer", check_adapter_layer, dict(mode=Mode.LORA_FA, seed=0, trials=1),
-     dict(seed=INT, trials=COUNT)),
+     dict(seed=INT, trials=LOOP)),
 ]
 PARAMETERS = {f"{name}.{param}": (fn, base, param, kind)
               for name, fn, base, params in DRAWS for param, kind in params.items()}
 
 BEYOND_FLOAT = st.sampled_from([10**400, -(10**400)])
+INDEX_MAX = int(np.iinfo(np.intp).max)
+BEYOND_INDEX = st.sampled_from([INDEX_MAX + 1, 2**80])
 
 
 def bad_values(kind: str):
     """str, bool, None (where it is not the default), a float where an int is
-    expected, NaN, +-Inf, an integer beyond the float range (but for a count),
-    a negative number and 0."""
-    integral = kind in (INT, COUNT, OPT_INT)
+    expected, NaN, +-Inf, an integer beyond the float range (but for a loop
+    count), one beyond numpy's index range (for a size), a negative number and 0."""
+    integral = kind in INTEGRAL
     return st.one_of(
         st.text(max_size=4), st.booleans(), st.just(float("nan")), st.sampled_from([INF, -INF]),
         st.integers(max_value=-1),
@@ -168,7 +180,8 @@ def bad_values(kind: str):
         st.just(0), st.just(0.0),
         st.none() if kind not in (OPT_INT, OPT_FLOAT) else st.nothing(),
         st.floats(allow_nan=False, allow_infinity=False) if integral else st.nothing(),
-        BEYOND_FLOAT if kind != COUNT else st.nothing(),
+        BEYOND_FLOAT if kind != LOOP else st.nothing(),
+        BEYOND_INDEX if kind == SIZE else st.nothing(),
     )
 
 
@@ -177,8 +190,9 @@ def always_bad(value, kind: str) -> bool:
     if isinstance(value, (str, bool)) or value is None:
         return True
     if isinstance(value, float):
-        return kind in (INT, COUNT, OPT_INT) or not math.isfinite(value)
-    return kind in (FLOAT, OPT_FLOAT) and abs(value) > sys.float_info.max
+        return kind in INTEGRAL or not math.isfinite(value)
+    return (kind in (FLOAT, OPT_FLOAT) and abs(value) > sys.float_info.max
+            or kind == SIZE and value > INDEX_MAX)
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)

@@ -63,6 +63,45 @@ def test_report_roundtrip_byte_identical():
     assert parsed.to_json() == text
 
 
+def _report_dict() -> dict:
+    return json.loads(train_run(small_cfg(steps=1)).to_json())
+
+
+BAD_REPORTS = {
+    "x-everywhere": lambda d: {key: "x" for key in d},
+    "not-an-object": lambda d: [d],
+    "unknown-key": lambda d: {**d, "extra": 1},
+    "missing-key": lambda d: {key: v for key, v in d.items() if key != "status"},
+    "schema-1": lambda d: {**d, "schema_version": 1},
+    "schema-str": lambda d: {**d, "schema_version": "2"},
+    "config-rank-0": lambda d: {**d, "config": {**d["config"], "rank": 0}},
+    "config-list": lambda d: {**d, "config": []},
+    "status-error": lambda d: {**d, "status": "error"},
+    "loss-curve-str": lambda d: {**d, "loss_curve": "x"},
+    "loss-curve-entry": lambda d: {**d, "loss_curve": [1.0, "x"]},
+    "loss-curve-nan": lambda d: {**d, "loss_curve": [float("nan")]},
+    "final-loss-str": lambda d: {**d, "final_loss": "x"},
+    "final-loss-bool": lambda d: {**d, "final_loss": True},
+    "trainable-float": lambda d: {**d, "trainable_full": 1.5},
+    "trainable-negative": lambda d: {**d, "trainable_linear_only": -1},
+    "wall-clock-str": lambda d: {**d, "wall_clock_s": "1"},
+    "memory-list": lambda d: {**d, "memory_measured": []},
+    "reconciliation-str": lambda d: {**d, "reconciliation": "x"},
+    "equivalence-entry": lambda d: {**d, "equivalence": [1]},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_REPORTS.values(), ids=BAD_REPORTS.keys())
+def test_report_from_a_bad_dict_is_a_parameter_error(bad):
+    with pytest.raises(ParameterError):
+        RunReport.from_json_dict(bad(_report_dict()))
+
+
+def test_report_from_a_diverged_dict_keeps_no_final_loss():
+    d = {**_report_dict(), "status": "diverged", "final_loss": None}
+    assert RunReport.from_json_dict(d).final_loss is None
+
+
 def test_report_carries_counts_and_memory():
     rep = train_run(small_cfg(steps=2))
     assert rep.trainable_linear_only == 9 * 16 * 2 * 1
