@@ -150,7 +150,7 @@ def init_adapter(
     """
     for name, value in (("d_in", d_in), ("d_out", d_out), ("rank", rank)):
         require_number(name, value, integral=True, at_least=1)
-    require_array_size("a d_in x d_out normal draw", 2 * d_in * d_out)  # randn takes 2 words a draw
+    require_array_size("a d_in x d_out weight", d_in * d_out)  # before 1 / sqrt(d_in)
     if mode.has_adapter and rank > min(d_in, d_out):
         raise ParameterError(f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}")
     if w is None:

@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
+def keep_freed_heap() -> None:
     """Keep the memory a training step frees for the next step (glibc only).
 
     Backward frees the tape top-down, so under glibc's dynamic thresholds the
@@ -265,7 +265,7 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
+    keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

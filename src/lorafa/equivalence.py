@@ -84,7 +84,7 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
         require_number(name, value, integral=True, at_least=1)
     chunk = min(num_samples, 20000)
-    require_array_size("an array", max(d * d, 2 * chunk * d * r))  # A A^T, a chunk's draw
+    require_array_size("A A^T", d * d)
     acc = np.zeros((d, d))
     for lo in range(0, num_samples, chunk):
         a = randn((min(chunk, num_samples - lo), d, r), rng)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 
+INDEX_MAX = np.iinfo(np.intp).max  # numpy's index range, the bound on every array size
+
 
 class LorafaError(Exception):
     """Base class for all lorafa errors."""
@@ -68,8 +70,8 @@ def require_number(name: str, value, integral: bool = False, at_least=None,
 
 def require_array_size(what: str, elements: int) -> None:
     """ParameterError unless an array of this many elements is within numpy's index
-    range, np.iinfo(np.intp).max: the upper bound on every count that sizes an array."""
-    if elements > np.iinfo(np.intp).max:
+    range, INDEX_MAX: the upper bound on every count that sizes an array."""
+    if elements > INDEX_MAX:
         size = (f"{float(elements):.3g} elements" if elements <= sys.float_info.max
                 else "a count beyond the float range")
         raise ParameterError(f"{what} needs {size}, more than numpy can index")

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .adapters import Mode, RetainedActivations
 from .errors import DataError, ParameterError, ReconciliationError, require_number
-from .model import ModelConfig, Tape, count_trainable_formula, tape_elements
+from .model import TAPE_INPUTS, ModelConfig, count_trainable_formula, tape_elements
 
 BYTES_PER_ELEMENT = 2  # accounting precision (16-bit), not compute precision
 
@@ -141,20 +141,19 @@ class MeasuredActivations:
         }
 
 
-def measured_activation_elements(tape: Tape) -> MeasuredActivations:
-    """Count the elements of every array a forward tape retains, by field.
+def measured_activation_elements(tape: dict) -> MeasuredActivations:
+    """Count the elements of every array a forward tape retains, by key.
 
-    Walks each block cache's attributes, then the Tape's own but its inputs,
-    so an array added to either is counted under its name. A tensor
-    referenced by several layers (the shared query/key/value input) is
-    counted once, attributed to the first layer that retained it. A tape
+    Every key but the TAPE_INPUTS is counted, so an array added to the tape
+    is counted under its name, and a RetainedActivations as {"full", "low"}.
+    A tensor referenced by several layers (the shared query/key/value input)
+    is counted once, attributed to the first layer that retained it. A tape
     without a loss, which includes one that backward consumed, is a
     DataError: it would count as nothing retained.
     """
-    if tape.log_probs is None:
+    if tape.get("log_probs") is None:
         raise DataError("tape has no loss; meter it after forward_loss, before backward")
     seen: set[int] = set()
-    elements: dict = {}
 
     def count(arr) -> int:
         if arr is None or id(arr) in seen:
@@ -162,18 +161,11 @@ def measured_activation_elements(tape: Tape) -> MeasuredActivations:
         seen.add(id(arr))
         return arr.size
 
-    def walk(prefix: str, holder) -> None:
-        for name, v in vars(holder).items():
-            if isinstance(v, RetainedActivations):
-                elements[prefix + name] = {"full": count(v.x_full) if v.has_x_full else 0,
-                                           "low": count(v.x_low) if v.has_x_low else 0}
-            elif name not in ("tokens", "targets", "block_caches"):
-                elements[prefix + name] = count(v)
-
-    for i, cache in enumerate(tape.block_caches):
-        walk(f"block{i}.", cache)
-    walk("", tape)
-    return MeasuredActivations(elements)
+    return MeasuredActivations({
+        key: {"full": count(v.x_full) if v.has_x_full else 0,
+              "low": count(v.x_low) if v.has_x_low else 0}
+        if isinstance(v, RetainedActivations) else count(v)
+        for key, v in tape.items() if key not in TAPE_INPUTS})
 
 
 def reconcile(

@@ -3,17 +3,17 @@
 Backprop here is a fixed tape over the known block structure, not a
 general autodiff graph: the forward pass keeps exactly what each op's
 backward rule needs, with linear-layer inputs governed by the adaptation
-mode's retention policy. The memory meter counts the same tape, filing all
+mode's retention policy. The tape is a dict keyed like tape_elements, one
+array (or a linear's RetainedActivations) per key, with the forward's
+TAPE_INPUTS beside them. The memory meter counts the same tape, filing all
 else (attention, GeLU, layernorm, log-softmax) under "other". Liveness
 rule: forward and backward drop every temporary right after its last read,
-and backward consumes the tape: a linear layer's retained inputs, GeLU's
-input and the log-softmax, which the loss gradient is built from, final
-layernorm and head arrays go at their last read, a block's other arrays
-once its backward returns. Last reads
-come first where the order is free: each linear builds its parameter
-gradients, which read its retained inputs last, before its merged weight
-and dx; each layer norm's vjp takes dgamma/dbeta from its upstream and
-then builds dx in it; both residual adds land in the stream. ffn2 runs
+and backward consumes the tape, popping every array at its last read, so a
+consumed tape is {}. Last reads come first where the order is free: each
+linear builds its parameter gradients, which read its retained inputs
+last, before its merged weight and dx; each layer norm's vjp takes
+dgamma/dbeta from its upstream and then builds dx in it; both residual
+adds land in the stream. ffn2 runs
 over blocks of ops.ROWS rows (adapters.forward with gelu_into=), adding
 into the residual stream, so its output is never whole, nor, in modes that
 do not retain it (lora-fa, frozen), is GeLU's output (Dao et al., arXiv
@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import adapters, ops
-from .adapters import AdaptedLinear, Mode, RetainedActivations
+from .adapters import AdaptedLinear, Mode
 from .errors import DataError, DimensionError, NumericsError, ParameterError, require_number
 from .rng import RngState, derive, randn
 
@@ -179,67 +179,24 @@ def build_model(
 
 # --- tape ---------------------------------------------------------------
 
-@dataclass
-class BlockCache:
-    """One block's retained arrays in forward order, sized by tape_elements;
-    a RetainedActivations field carries its layer's name.
-    ln1's stats are None where the block's input gradient is dead, which is
-    how backward knows it. probs holds the causal attention probabilities'
-    lower triangles, from _pack_causal. Backward takes out each
-    RetainedActivations, GeLU's input at its vjp and probs where it expands
-    them."""
-
-    ln1_xhat: Optional[np.ndarray]
-    ln1_inv: Optional[np.ndarray]
-    attn_q: RetainedActivations
-    attn_k: RetainedActivations
-    attn_v: RetainedActivations
-    qh: np.ndarray
-    kh: np.ndarray
-    vh: np.ndarray
-    probs: np.ndarray
-    attn_o: RetainedActivations
-    ln2_xhat: np.ndarray
-    ln2_inv: np.ndarray
-    ffn1: RetainedActivations
-    gelu_in: Optional[np.ndarray]
-    ffn2: RetainedActivations
-
-    def take(self, name: str):
-        """The named field's value, which the cache then no longer holds."""
-        value = getattr(self, name)
-        setattr(self, name, None)
-        return value
+TAPE_INPUTS = ("tokens", "targets")  # the forward's inputs, which the tape holds beside its table
 
 
-@dataclass
-class Tape:
-    """The arrays one forward pass retained for backward, and nothing else.
-
-    Backward consumes it and the activation meter counts it: the block
-    caches, then every other field but tokens and targets, each sized by tape_elements.
-    """
-
-    tokens: Optional[np.ndarray] = None
-    targets: Optional[np.ndarray] = None
-    block_caches: list[BlockCache] = field(default_factory=list)
-    lnf_xhat: Optional[np.ndarray] = None
-    lnf_inv: Optional[np.ndarray] = None
-    head_input: Optional[np.ndarray] = None  # ft only
-    log_probs: Optional[np.ndarray] = None  # the loss's log-softmax
-
-    def clear(self) -> None:
-        """Drop every retained array, as backward leaves the tape it consumed."""
-        vars(self).update(vars(Tape()))
+@functools.lru_cache(maxsize=None)
+def _key(i: int, name: str) -> str:
+    """Block i's tape key for name, as tape_elements states it, built once so
+    that no step builds it anew: one string per block field of the deepest
+    model run."""
+    return f"block{i}.{name}"
 
 
 def tape_elements(config: ModelConfig, mode: Mode, rank: int, b: int, s: int) -> dict:
-    """Elements per field of a (b, s) forward_loss tape, the one statement of
-    its layout, which memory.reconcile matches against the meter: block<i>.<field>
-    for the block caches, then the Tape's own fields. A linear keeps
-    {"full": its input, "low": x@A}, key and value no input of their own
-    (they read query's); every other field is a count, 0 where forward
-    leaves None: block 0's ln1 stats and head_input outside ft."""
+    """Elements per key of a (b, s) forward_loss tape, but its TAPE_INPUTS, in
+    forward order: the one statement of its layout, which memory.reconcile
+    matches against the meter. A linear keeps {"full": its input, "low": x@A},
+    key and value no input of their own (they read query's); every other key
+    is a count, 0 where the tape holds None: block 0's ln1 stats and
+    head_input outside ft."""
     d, bs = config.d, b * s
     bsd, keep_full, keep_low = bs * d, mode.retains_full_input, mode.has_adapter
 
@@ -303,28 +260,35 @@ def _unpack_causal(packed: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: bool) -> np.ndarray:
+def _block_forward(model, i: int, x: np.ndarray, tape: dict) -> np.ndarray:
+    """Block i's forward, which writes each array it retains into the tape."""
+    block, key = model.blocks[i], functools.partial(_key, i)
     nh = model.config.n_heads
     dh = model.config.d // nh
 
-    h, xh1, inv1 = ops.layer_norm(x, block.ln1_gamma, block.ln1_beta)
-    if not keep_ln1:
-        xh1 = inv1 = None
-    q, kept_q = adapters.forward(block.attn_q, h)
-    k, kept_k = adapters.forward(block.attn_k, h)
-    v, kept_v = adapters.forward(block.attn_v, h)
+    h, tape[key("ln1_xhat")], tape[key("ln1_inv")] = ops.layer_norm(x, block.ln1_gamma,
+                                                                    block.ln1_beta)
+    if not (model.mode.trains_dense or i > 0):
+        # Block i keeps ln1's stats, which backward reads as "input gradient
+        # live", only in ft or if i > 0: nothing below block 0 trains outside ft.
+        tape[key("ln1_xhat")] = tape[key("ln1_inv")] = None
+    q, tape[key("attn_q")] = adapters.forward(block.attn_q, h)
+    k, tape[key("attn_k")] = adapters.forward(block.attn_k, h)
+    v, tape[key("attn_v")] = adapters.forward(block.attn_v, h)
     del h
 
     qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
+    tape[key("qh")], tape[key("kh")], tape[key("vh")] = qh, kh, vh
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores /= np.sqrt(dh)
     np.copyto(scores, -np.inf, where=_causal(x.shape[1])[0])
     probs = ops.softmax_rows(scores)
     del scores
     ctx = _merge_heads(probs @ vh)
-    probs = _pack_causal(probs)
+    tape[key("probs")] = _pack_causal(probs)
+    del probs
 
-    attn_out, kept_o = adapters.forward(block.attn_o, ctx)
+    attn_out, tape[key("attn_o")] = adapters.forward(block.attn_o, ctx)
     del ctx
     # Residual adds land in the stream x, which nothing retains and which the
     # caller still holds: attention's (x + y is y + x bit for bit), and
@@ -332,21 +296,12 @@ def _block_forward(model, block: Block, x: np.ndarray, tape: Tape, keep_ln1: boo
     x += attn_out
     del attn_out
 
-    h2, xh2, inv2 = ops.layer_norm(x, block.ln2_gamma, block.ln2_beta)
-    f1, kept_f1 = adapters.forward(block.ffn1, h2)
+    h2, tape[key("ln2_xhat")], tape[key("ln2_inv")] = ops.layer_norm(x, block.ln2_gamma,
+                                                                     block.ln2_beta)
+    f1, tape[key("ffn1")] = adapters.forward(block.ffn1, h2)
     del h2
-    x, kept_f2 = adapters.forward(block.ffn2, f1, gelu_into=x)
-
-    tape.block_caches.append(
-        BlockCache(
-            ln1_xhat=xh1, ln1_inv=inv1,
-            attn_q=kept_q, attn_k=kept_k, attn_v=kept_v,
-            qh=qh, kh=kh, vh=vh, probs=probs,
-            attn_o=kept_o,
-            ln2_xhat=xh2, ln2_inv=inv2,
-            ffn1=kept_f1, gelu_in=f1, ffn2=kept_f2,
-        )
-    )
+    tape[key("gelu_in")] = f1
+    x, tape[key("ffn2")] = adapters.forward(block.ffn2, f1, gelu_into=x)
     return x
 
 
@@ -367,17 +322,14 @@ def _forward(model: TransformerModel, tokens: np.ndarray):
         raise DimensionError(f"sequence length {s} exceeds configured {model.config.seq_len}")
     if tokens.min() < 0 or tokens.max() >= model.config.vocab:
         raise DataError("token id out of range")
-    tape = Tape(tokens=tokens)
+    tape = {"tokens": tokens}
     x = model.tok_emb[tokens] + model.pos_emb[:s]
-    for i, block in enumerate(model.blocks):
-        # Block i keeps ln1's stats, which backward reads as "input gradient
-        # live", only in ft or if i > 0: nothing below block 0 trains outside ft.
-        x = _block_forward(model, block, x, tape, model.mode.trains_dense or i > 0)
-    h, tape.lnf_xhat, tape.lnf_inv = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
+    for i in range(len(model.blocks)):
+        x = _block_forward(model, i, x, tape)
+    h, tape["lnf_xhat"], tape["lnf_inv"] = ops.layer_norm(x, model.lnf_gamma, model.lnf_beta)
     del x
-    if model.mode.trains_dense:
-        # Tied head: h is needed for the embedding gradient only when training it.
-        tape.head_input = h
+    # Tied head: h is needed for the embedding gradient only when training it.
+    tape["head_input"] = h if model.mode.trains_dense else None
     return ops.ensure_finite(ops.matmul(h, model.tok_emb.T), "logits"), tape
 
 
@@ -412,20 +364,20 @@ def forward_loss(model: TransformerModel, tokens: np.ndarray, targets: np.ndarra
     loss = -float(np.sum(ll[mask])) / count
     if not np.isfinite(loss):
         raise NumericsError("loss is not finite")
-    tape.targets, tape.log_probs = targets, log_probs
+    tape["log_probs"], tape["targets"] = log_probs, targets
     return loss, tape
 
 
 # --- backward -----------------------------------------------------------
 
-def _linear_backward(block: Block, cache: BlockCache, name: str, dy, grads,
+def _linear_backward(block: Block, tape: dict, i: int, name: str, dy, grads,
                      input_grad: bool = True):
-    """One adapted linear's backward: hands its retained activations over to
-    adapters.backward, so they die once its parameter gradients exist, before
-    its dx is built; files those gradients under id() of their tensor and
-    returns its dx."""
+    """One adapted linear's backward: pops its retained activations straight
+    into adapters.backward, so they die once its parameter gradients exist,
+    before its dx is built; files those gradients under id() of their tensor
+    and returns its dx."""
     layer = getattr(block, name)
-    dx, layer_grads = adapters.backward(layer, cache.take(name), dy, input_grad)
+    dx, layer_grads = adapters.backward(layer, tape.pop(_key(i, name)), dy, input_grad)
     for tensor, g in layer_grads.items():
         grads[id(getattr(layer, tensor))] = g
     return dx
@@ -442,98 +394,99 @@ def _layer_norm_backward(model, x_hat, inv, gamma, beta, dy, grads) -> np.ndarra
     return dx
 
 
-def _block_backward(model, block: Block, cache: BlockCache, dx: np.ndarray, grads):
-    """Backward through one block; the block's input gradient (accumulated into
-    dx in place) only where forward kept ln1's stats, else None. Each
-    temporary and retained array dies after its last read."""
+def _block_backward(model, i: int, tape: dict, dx: np.ndarray, grads):
+    """Backward through block i; its input gradient (accumulated into dx in
+    place) only where forward kept ln1's stats, else None. Each temporary
+    dies after its last read, and each retained array is popped there."""
+    block, key = model.blocks[i], functools.partial(_key, i)
     nh = model.config.n_heads
-    input_grad = cache.ln1_xhat is not None
+    input_grad = tape[key("ln1_xhat")] is not None
 
     # x_out = x_mid + ffn2(gelu(ffn1(ln2(x_mid)))); GeLU's vjp overwrites
     # ffn2's dx, which it reads last, and is the last read of GeLU's input.
-    df1 = _linear_backward(block, cache, "ffn2", dx, grads)
-    df1 = ops.gelu_vjp(cache.take("gelu_in"), df1, out=df1)
-    dh2 = _linear_backward(block, cache, "ffn1", df1, grads)
+    df1 = _linear_backward(block, tape, i, "ffn2", dx, grads)
+    df1 = ops.gelu_vjp(tape.pop(key("gelu_in")), df1, out=df1)
+    dh2 = _linear_backward(block, tape, i, "ffn1", df1, grads)
     del df1
-    dx += _layer_norm_backward(model, cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma,
-                               block.ln2_beta, dh2, grads)
+    dx += _layer_norm_backward(model, tape.pop(key("ln2_xhat")), tape.pop(key("ln2_inv")),
+                               block.ln2_gamma, block.ln2_beta, dh2, grads)
     del dh2
 
     # x_mid = x_in + attn_o(attention(q, k, v))
-    dctx_h = _split_heads(_linear_backward(block, cache, "attn_o", dx, grads), nh)
-    dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
-    probs = _unpack_causal(cache.take("probs"))
+    dctx_h = _split_heads(_linear_backward(block, tape, i, "attn_o", dx, grads), nh)
+    dprobs = dctx_h @ np.swapaxes(tape.pop(key("vh")), -1, -2)
+    probs = _unpack_causal(tape.pop(key("probs")))
     dv = _merge_heads(np.swapaxes(probs, -1, -2) @ dctx_h)
     del dctx_h
     dscores = ops.softmax_rows_vjp(probs, dprobs)
     del dprobs, probs
     dscores /= np.sqrt(model.config.d // nh)
-    dq = _merge_heads(dscores @ cache.kh)
-    dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ cache.qh)
+    dq = _merge_heads(dscores @ tape.pop(key("kh")))
+    dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ tape.pop(key("qh")))
     del dscores
-    dh1 = _linear_backward(block, cache, "attn_q", dq, grads, input_grad)
+    dh1 = _linear_backward(block, tape, i, "attn_q", dq, grads, input_grad)
     del dq
-    dh1_k = _linear_backward(block, cache, "attn_k", dk, grads, input_grad)
+    dh1_k = _linear_backward(block, tape, i, "attn_k", dk, grads, input_grad)
     del dk
-    dh1_v = _linear_backward(block, cache, "attn_v", dv, grads, input_grad)
+    dh1_v = _linear_backward(block, tape, i, "attn_v", dv, grads, input_grad)
     del dv
     if not input_grad:
+        del tape[key("ln1_xhat")], tape[key("ln1_inv")]
         return None
     dh1 += dh1_k
     dh1 += dh1_v
     del dh1_k, dh1_v
-    dx += _layer_norm_backward(model, cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma,
-                               block.ln1_beta, dh1, grads)
+    dx += _layer_norm_backward(model, tape.pop(key("ln1_xhat")), tape.pop(key("ln1_inv")),
+                               block.ln1_gamma, block.ln1_beta, dh1, grads)
     return dx
 
 
-def backward(model: TransformerModel, tape: Tape) -> dict[str, np.ndarray]:
+def backward(model: TransformerModel, tape: dict) -> dict[str, np.ndarray]:
     """Gradients for exactly the mode's trainable set, keyed like trainable_params.
 
     Backward does the work the tape allows, and consumes it: it builds the
-    loss gradient from tape.log_probs, drops each array at its last read (the
-    module docstring says when), writes into none and leaves the tape empty,
-    so a second backward is a DataError. A block whose cache holds no ln1 stats
-    (block 0 outside ft) returns no input gradient and skips its ln1 vjp;
-    dgamma/dbeta exist only in ft; frozen mode returns {}. Gradients are
-    filed under id() of their tensor; a NaN/Inf in one is a NumericsError.
+    loss gradient from the tape's log_probs, pops each array at its last read,
+    writes into none and leaves the tape {}, so a second backward is a
+    DataError. A block whose ln1 stats are None (block 0 outside ft) returns
+    no input gradient and skips its ln1 vjp; dgamma/dbeta exist only in ft;
+    frozen mode returns {}. Gradients are filed under id() of their tensor; a
+    NaN/Inf in one is a NumericsError.
     """
-    if tape.log_probs is None:
+    if tape.get("log_probs") is None:
         raise DataError("tape has no loss; run forward_loss first")
     dense = model.mode.trains_dense
     if not (model.mode.trains or dense):
         tape.clear()
         return {}
     # The fused softmax-cross-entropy gradient: (softmax - onehot) / count where supervised, else 0.
-    dlogits, tape.log_probs = np.exp(tape.log_probs), None
-    mask = tape.targets != IGNORE_TARGET
-    picked = np.where(mask, tape.targets, 0)[..., None]
+    dlogits = np.exp(tape.pop("log_probs"))
+    targets = tape.pop("targets")
+    mask = targets != IGNORE_TARGET
+    picked = np.where(mask, targets, 0)[..., None]
     np.put_along_axis(dlogits, picked, np.take_along_axis(dlogits, picked, axis=-1) - 1.0, axis=-1)
     dlogits *= mask[..., None] / int(mask.sum())
-    del mask, picked
+    del targets, mask, picked
 
     grads: dict[int, np.ndarray] = {}
     dh = ops.matmul(dlogits, model.tok_emb)
+    head_input = tape.pop("head_input")  # None outside ft
     if dense:
         grads[id(model.tok_emb)] = (dlogits.reshape(-1, dlogits.shape[-1]).T
-                                    @ tape.head_input.reshape(-1, tape.head_input.shape[-1]))
-        tape.head_input = None
-    del dlogits
-    dx = _layer_norm_backward(model, tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma,
+                                    @ head_input.reshape(-1, head_input.shape[-1]))
+    del dlogits, head_input
+    dx = _layer_norm_backward(model, tape.pop("lnf_xhat"), tape.pop("lnf_inv"), model.lnf_gamma,
                               model.lnf_beta, dh, grads)
-    tape.lnf_xhat = tape.lnf_inv = None
     del dh  # dx's buffer, which the blocks own from here
-    for block in reversed(model.blocks):
-        # The popped cache dies when its block's backward returns.
-        dx = _block_backward(model, block, tape.block_caches.pop(), dx, grads)
+    for i in reversed(range(len(model.blocks))):
+        dx = _block_backward(model, i, tape, dx, grads)
+    tokens = tape.pop("tokens")
     if dense:
         dtok = np.zeros_like(model.tok_emb)
-        np.add.at(dtok, tape.tokens, dx)
+        np.add.at(dtok, tokens, dx)
         grads[id(model.tok_emb)] += dtok
         dpos = np.zeros_like(model.pos_emb)
-        dpos[: tape.tokens.shape[1]] = dx.sum(axis=0)
+        dpos[: tokens.shape[1]] = dx.sum(axis=0)
         grads[id(model.pos_emb)] = dpos
-    tape.clear()
     return {k: ops.ensure_finite(grads[id(p)], f"gradient {k}")
             for k, p in trainable_params(model).items()}
 

@@ -9,11 +9,12 @@ be skipped in O(1), and distinct named substreams are cheap to derive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_number
+from .errors import ParameterError, require_array_size, require_number
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -45,7 +46,9 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _raw(rng: RngState, n: int) -> np.ndarray:
-    """n raw uint64 words at the current position; advances the stream."""
+    """n raw uint64 words at the current position; advances the stream. More
+    words than numpy can index is a ParameterError."""
+    require_array_size("a stream draw", n)
     counters = _U64(rng.seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (
         _U64(rng.position & 0xFFFFFFFFFFFFFFFF) + np.arange(n, dtype=np.uint64)
     )
@@ -68,7 +71,7 @@ def derive(rng: RngState, tag: str) -> RngState:
 
 def uniform(shape, rng: RngState) -> np.ndarray:
     """i.i.d. draws in [0, 1) with 53-bit resolution."""
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     u = (_raw(rng, n) >> _U64(11)).astype(np.float64) * (2.0**-53)
     return u.reshape(shape)
 
@@ -79,7 +82,7 @@ def randn(shape, rng: RngState, std: float = 1.0) -> np.ndarray:
     Consumes exactly 2 * prod(shape) stream positions.
     """
     require_number("std", std, positive=True)
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     raw = _raw(rng, 2 * n)
     # u1 in (0, 1] so log never sees 0; u2 in [0, 1).
     u1 = 1.0 - (raw[:n] >> _U64(11)).astype(np.float64) * (2.0**-53)

@@ -16,7 +16,6 @@ from .equivalence import SUBSPACE_PASS_RESIDUAL, subspace_check
 from .errors import LorafaError, NumericsError, ParameterError, require_array_size, require_number
 from .model import (
     ModelConfig,
-    Tape,
     TransformerModel,
     backward,
     build_model,
@@ -67,11 +66,13 @@ class RunConfig:
         # Met here so that a sweep cell cannot fail on them after training began.
         check_task(self.task, self.model.vocab, self.model.seq_len, self.n_examples)
         check_rank(self.model, self.mode, self.rank)
-        # Token embedding, ffn weight, widest activation and attention scores:
-        # the largest array a run builds must be within numpy's index range.
+        # The token embedding's and ffn weight's draws (two stream words a
+        # normal entry), the widest activation and the attention scores: the
+        # largest array a run builds must be within numpy's index range.
         m, b, s = self.model, self.model.batch_size, self.model.seq_len
-        require_array_size("the largest array", max(
-            m.vocab * m.d, m.d * m.d_ff, b * s * max(m.vocab, m.d, m.d_ff), b * m.n_heads * s * s))
+        require_array_size("the largest array", max(2 * m.vocab * m.d, 2 * m.d * m.d_ff,
+                                                     b * s * max(m.vocab, m.d, m.d_ff),
+                                                     b * m.n_heads * s * s))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -165,10 +166,11 @@ def _merged_weights(model: TransformerModel) -> dict[str, np.ndarray]:
     return {name: adapters.merge(layer) for name, layer in model.adapted_layers()}
 
 
-def _meter(cfg: RunConfig, tape: Tape) -> tuple[dict, dict]:
+def _meter(cfg: RunConfig, tape: dict) -> tuple[dict, dict]:
     """The report's measured activations and their reconciliation, from one tape."""
     measured = memory.measured_activation_elements(tape)
-    reconciliation = memory.reconcile(cfg.model, cfg.mode, cfg.rank, measured, *tape.tokens.shape)
+    b, s = tape["tokens"].shape
+    reconciliation = memory.reconcile(cfg.model, cfg.mode, cfg.rank, measured, b, s)
     return measured.to_dict(), reconciliation
 
 

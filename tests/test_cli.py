@@ -488,11 +488,11 @@ def test_unknown_subcommand_is_argparse_error():
 _STEP_FAULTS = """
 import resource, sys
 from lorafa.adapters import Mode
-from lorafa.cli import _keep_freed_heap
+from lorafa.cli import keep_freed_heap
 from lorafa.model import ModelConfig, backward, build_model, forward_loss
 from lorafa.rng import RngState, randint
 if sys.argv[1] == "fixed":
-    _keep_freed_heap()
+    keep_freed_heap()
 cfg = ModelConfig(d=128, n_layers=2, n_heads=4, vocab=64, seq_len=64, batch_size=8)
 m = build_model(cfg, Mode.LORA_FA, rank=16, rng=RngState(3))
 tokens = randint(RngState(4), 0, cfg.vocab, (cfg.batch_size, cfg.seq_len))

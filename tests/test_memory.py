@@ -230,15 +230,15 @@ def test_meter_other_elements_closed_form(mode):
     (1, "extra"),     # an array no field states
     (0, "ln1_xhat"),  # where forward keeps None outside ft
     (0, "qh"),        # resized
-    (None, "extra"),  # on the Tape itself
+    (None, "extra"),  # outside the blocks
 ])
 def test_reconcile_names_an_array_the_table_does_not_state(block, name):
     # The meter counts every array the tape holds, so one the table lacks,
     # or one of another size, fails reconciliation by name.
     cfg = make_cfg(d=16, L=2, heads=2, s=6, b=2)
     tape = run_forward(cfg, Mode.LORA, 2)
-    setattr(tape if block is None else tape.block_caches[block], name, np.zeros(5))
     field = name if block is None else f"block{block}.{name}"
+    tape[field] = np.zeros(5)
     with pytest.raises(ReconciliationError, match=f"'{field}'"):
         reconcile(cfg, Mode.LORA, 2, measured_activation_elements(tape), 2, 6)
 

@@ -1,5 +1,4 @@
 import weakref
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from lorafa.errors import DataError, DimensionError, ParameterError
 from lorafa.gradcheck import check_tiny_model
 from lorafa.model import (
     IGNORE_TARGET,
+    TAPE_INPUTS,
     ModelConfig,
-    Tape,
     _merge_heads,
     _pack_causal,
     _split_heads,
@@ -173,62 +172,68 @@ def test_full_model_finite_differences(mode):
 # trainable set. Only block 0's ln1 vjp is skipped where the tape holds no
 # ln1 stats for it. backward must match it bit for bit.
 
-def _ref_block_backward(model, block, cache, dx, grads, pre):
+def _ref_block_backward(model, i, tape, dx, grads):
     nh = model.config.n_heads
     dh = model.config.d // nh
+    block, pre = model.blocks[i], f"block{i}"
+
+    def kept(name):
+        return tape[f"{pre}.{name}"]
 
     def linear(name, upstream):
-        dinput, layer_grads = adapters.backward(getattr(block, name), getattr(cache, name), upstream)
+        dinput, layer_grads = adapters.backward(getattr(block, name), kept(name), upstream)
         grads.update({f"{pre}.{name}.{k}": g for k, g in layer_grads.items()})
         return dinput
 
-    df1 = ops.gelu_vjp(cache.gelu_in, linear("ffn2", dx))
+    df1 = ops.gelu_vjp(kept("gelu_in"), linear("ffn2", dx))
     dh2 = linear("ffn1", df1)
     dx_mid, grads[f"{pre}.ln2.gamma"], grads[f"{pre}.ln2.beta"] = ops.layer_norm_vjp(
-        cache.ln2_xhat, cache.ln2_inv, block.ln2_gamma, dh2)
+        kept("ln2_xhat"), kept("ln2_inv"), block.ln2_gamma, dh2)
     dx_mid += dx
     dctx_h = _split_heads(linear("attn_o", dx_mid), nh)
-    dprobs = dctx_h @ np.swapaxes(cache.vh, -1, -2)
+    dprobs = dctx_h @ np.swapaxes(kept("vh"), -1, -2)
     # The tape holds each (s, s) probs' lower triangle, row by row.
-    s = cache.kh.shape[-2]
-    probs = np.zeros(cache.probs.shape[:-1] + (s, s))
+    s = kept("kh").shape[-2]
+    probs = np.zeros(kept("probs").shape[:-1] + (s, s))
     rows, cols = np.tril_indices(s)
-    probs[..., rows, cols] = cache.probs
+    probs[..., rows, cols] = kept("probs")
     dvh = np.swapaxes(probs, -1, -2) @ dctx_h
     dscores = ops.softmax_rows_vjp(probs, dprobs)
     dscores /= np.sqrt(dh)
-    dqh = dscores @ cache.kh
-    dkh = np.swapaxes(dscores, -1, -2) @ cache.qh
+    dqh = dscores @ kept("kh")
+    dkh = np.swapaxes(dscores, -1, -2) @ kept("qh")
     dh1 = (linear("attn_q", _merge_heads(dqh)) + linear("attn_k", _merge_heads(dkh))
            + linear("attn_v", _merge_heads(dvh)))
-    if cache.ln1_xhat is None:  # block 0 outside ft: nothing below it trains
+    if kept("ln1_xhat") is None:  # block 0 outside ft: nothing below it trains
         return None
     dx_in, grads[f"{pre}.ln1.gamma"], grads[f"{pre}.ln1.beta"] = ops.layer_norm_vjp(
-        cache.ln1_xhat, cache.ln1_inv, block.ln1_gamma, dh1)
+        kept("ln1_xhat"), kept("ln1_inv"), block.ln1_gamma, dh1)
     return dx_in + dx_mid
 
 
 def _ref_backward(model, tape):
     # (softmax - onehot) * mask / count, from the tape's log-softmax and targets.
-    dlogits = np.exp(tape.log_probs)
-    mask = tape.targets != IGNORE_TARGET
-    safe = np.where(mask, tape.targets, 0)[..., None]
+    dlogits = np.exp(tape["log_probs"])
+    mask = tape["targets"] != IGNORE_TARGET
+    safe = np.where(mask, tape["targets"], 0)[..., None]
     np.put_along_axis(dlogits, safe, np.take_along_axis(dlogits, safe, axis=-1) - 1.0, axis=-1)
     dlogits *= mask[..., None] / int(mask.sum())
     grads = {}
     d2 = dlogits.reshape(-1, dlogits.shape[-1])
-    if tape.head_input is not None:
-        grads["tok_emb"] = d2.T @ tape.head_input.reshape(-1, tape.head_input.shape[-1])
+    head_input = tape["head_input"]
+    if head_input is not None:
+        grads["tok_emb"] = d2.T @ head_input.reshape(-1, head_input.shape[-1])
     dx, grads["ln_f.gamma"], grads["ln_f.beta"] = ops.layer_norm_vjp(
-        tape.lnf_xhat, tape.lnf_inv, model.lnf_gamma, ops.matmul(dlogits, model.tok_emb))
+        tape["lnf_xhat"], tape["lnf_inv"], model.lnf_gamma, ops.matmul(dlogits, model.tok_emb))
     for i in reversed(range(len(model.blocks))):
-        dx = _ref_block_backward(model, model.blocks[i], tape.block_caches[i], dx, grads, f"block{i}")
+        dx = _ref_block_backward(model, i, tape, dx, grads)
+    tokens = tape["tokens"]
     if "tok_emb" in grads:
         dtok = np.zeros_like(model.tok_emb)
-        np.add.at(dtok, tape.tokens, dx)
+        np.add.at(dtok, tokens, dx)
         grads["tok_emb"] += dtok
         dpos = np.zeros_like(model.pos_emb)
-        dpos[: tape.tokens.shape[1]] = dx.sum(axis=0)
+        dpos[: tokens.shape[1]] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
     return {k: grads[k] for k in trainable_params(model)}
 
@@ -294,7 +299,7 @@ def test_ffn2_input_dies_before_its_dx(monkeypatch, mode):
     # output in ft and lora, is gone when ffn2's dx is allocated.
     m = build_model(CFG, mode, rank=2, rng=RngState(9))
     _, tape = forward_loss(m, *data(10))
-    inputs = [weakref.ref(cache.ffn2.x_full) for cache in reversed(tape.block_caches)]
+    inputs = [weakref.ref(tape[f"block{i}.ffn2"].x_full) for i in reversed(range(CFG.n_layers))]
     alive = []
     real_matmul = adapters.matmul
 
@@ -314,7 +319,7 @@ def test_frozen_backward_returns_no_gradients(monkeypatch):
     monkeypatch.setattr(adapters, "backward", None)  # frozen backward runs no linear
     assert backward(m, tape) == {}
     with pytest.raises(DataError, match="no loss"):
-        backward(m, Tape())
+        backward(m, {})
 
 
 # --- frozen-parameter purity ----------------------------------------------------
@@ -446,8 +451,8 @@ def test_forward_loss_leaves_the_cross_entropy_gradient(mode):
     want -= np.log(np.sum(np.exp(want), axis=-1, keepdims=True))
     mask = targets != IGNORE_TARGET
     loss, tape = forward_loss(m, tokens, targets)
-    assert tape.log_probs.tobytes() == want.tobytes()
-    assert np.array_equal(tape.targets, targets)
+    assert tape["log_probs"].tobytes() == want.tobytes()
+    assert np.array_equal(tape["targets"], targets)
     picked = np.take_along_axis(want, np.where(mask, targets, 0)[..., None], axis=-1)[..., 0]
     assert loss == -float(np.sum(picked[mask])) / int(mask.sum())
 
@@ -481,9 +486,32 @@ def test_backward_leaves_the_tape_unchanged(mode):
     before = {key: arr.tobytes() for key, arr in held.items()}
     assert any(key.endswith((".x_full", ".x_low")) for key in before)
     backward(m, tape)
-    assert tape_arrays(tape) == {} and tape.block_caches == []
+    assert tape == {}
     for key, arr in held.items():
         assert arr.tobytes() == before[key], f"{key} changed"
+
+
+@pytest.mark.parametrize("mode", [Mode.FT, Mode.LORA, Mode.LORA_FA])
+def test_backward_pops_a_block_empty_by_its_ln1_vjp(monkeypatch, mode):
+    # One liveness rule covers the whole tape: each array is popped at its
+    # last read, so when block i's ln1 vjp runs, the last read of ln1's stats,
+    # no array of block i is left on the tape.
+    m = build_model(CFG, mode, rank=2, rng=RngState(9))
+    _, tape = forward_loss(m, *data(10))
+    ln1 = {id(block.ln1_gamma): i for i, block in enumerate(m.blocks)}
+    left = {}
+    real_vjp = ops.layer_norm_vjp
+
+    def spy_vjp(x_hat, inv, gamma, *args, **kwargs):
+        if id(gamma) in ln1:
+            i = ln1[id(gamma)]
+            left[i] = [key for key in tape if key.startswith(f"block{i}.")]
+        return real_vjp(x_hat, inv, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "layer_norm_vjp", spy_vjp)
+    backward(m, tape)
+    assert left == {i: [] for i in range(CFG.n_layers) if mode.trains_dense or i > 0}
+    assert tape == {}
 
 
 # ffn2 runs over blocks of ops.ROWS of the b*s = 200 rows here: one block, the
@@ -517,6 +545,23 @@ def test_ffn2_row_blocks_agree_with_one_block(monkeypatch, mode):
         assert got_grads.keys() == grads.keys()
         for name, g in grads.items():
             np.testing.assert_allclose(got_grads[name], g, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("cfg", [CFG, ROW_CFG], ids=["CFG", "ROW_CFG"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_tape_is_its_table(mode, cfg):
+    # forward_loss's tape, but its inputs, has tape_elements' keys in forward
+    # order, and a key that is not a linear holds None exactly where the
+    # table counts 0.
+    m = build_model(cfg, mode, rank=2, rng=RngState(4))
+    tokens, targets = data(12, cfg, b=cfg.batch_size)
+    _, tape = forward_loss(m, tokens, targets)
+    table = tape_elements(cfg, mode, 2, *tokens.shape)
+    assert [key for key in tape if key not in TAPE_INPUTS] == list(table)
+    for key, n in table.items():
+        if not isinstance(n, dict):
+            assert (tape[key] is None) == (n == 0), key
+            assert tape[key] is None or tape[key].size == n, key
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -559,19 +604,14 @@ def test_packed_causal_probs_unpack_bit_for_bit(s):
 
 
 def tape_arrays(tape) -> dict:
-    """Every array a tape holds, named by where it sits."""
+    """Every array a tape holds, named by its key."""
     out = {}
-    for i, cache in enumerate(tape.block_caches):
-        for f in fields(cache):
-            value = getattr(cache, f.name)
-            if isinstance(value, RetainedActivations):
-                if value.has_x_full:
-                    out[f"block{i}.{f.name}.x_full"] = value.x_full
-                if value.has_x_low:
-                    out[f"block{i}.{f.name}.x_low"] = value.x_low
-            elif value is not None:
-                out[f"block{i}.{f.name}"] = value
-    for f in fields(tape):
-        if isinstance(getattr(tape, f.name), np.ndarray):
-            out[f.name] = getattr(tape, f.name)
+    for key, value in tape.items():
+        if isinstance(value, RetainedActivations):
+            if value.has_x_full:
+                out[f"{key}.x_full"] = value.x_full
+            if value.has_x_low:
+                out[f"{key}.x_low"] = value.x_low
+        elif isinstance(value, np.ndarray):
+            out[key] = value
     return out

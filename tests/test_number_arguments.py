@@ -28,7 +28,7 @@ from lorafa.gradcheck import check_adapter_layer, check_primitives
 from lorafa.memory import analytic_report, measured_activation_elements, reconcile
 from lorafa.model import ModelConfig, build_model, count_trainable_formula, forward_loss
 from lorafa.optim import AdamWConfig, SGDConfig
-from lorafa.rng import RngState, randint, randn
+from lorafa.rng import RngState, randint, randn, uniform
 from lorafa.tasks import Dataset, gen_task
 from lorafa.train import RunConfig
 
@@ -89,6 +89,11 @@ PROBES = {
     "Dataset.batch(0, 10**400)": lambda: DATA.batch(0, 10**400),
     "init_adapter(d_in=2**62)": lambda: init_adapter(2**62, 4, 1, None, Mode.FT, RngState(0)),
     "estimate_unbiasedness(d=2**32)": lambda: estimate_unbiasedness(2**32, 2, 10, RngState(0)),
+    "RunConfig(vocab=2**60)": lambda: RunConfig(
+        model=ModelConfig(d=4, n_layers=1, n_heads=1, vocab=2**60, seq_len=4, batch_size=1),
+        mode=Mode.FROZEN, rank=1, n_examples=1),
+    "randn((2**62, 4))": lambda: randn((2**62, 4), RngState(0)),
+    "uniform((2**32, 2**32))": lambda: uniform((2**32, 2**32), RngState(0)),
 }
 
 
