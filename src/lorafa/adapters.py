@@ -17,9 +17,9 @@ elements per token from d to r. Retention is structural, not advisory;
 asking a frozen-A layer for its full input raises RetentionPolicyError.
 
 In every mode the layer is one dense map, y = x (W + alpha A B) and
-dx = dy (W + alpha A B)^T: forward and backward rebuild the weight ``merge``
-returns (one d_in x r x d_out product), so an adapter adds no b*s-row
-product but x@A, which dB reads.
+dx = dy (W + alpha A B)^T: forward rebuilds the weight ``merge`` returns
+(one d_in x r x d_out product), backward builds it in tiles of ops.ROWS
+rows, and an adapter adds no b*s-row product but x@A, which dB reads.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> 
         block = slice(lo, lo + ops.ROWS)
         xb = ops.gelu(_fold(x)[block]) if x_full is None else _fold(x_full)[block]
         if x_low is not None:
-            _fold(x_low)[block] = matmul(xb, layer.a)
+            matmul(xb, layer.a, out=_fold(x_low)[block])
         y = matmul(xb, w)
         del xb
         _fold(out)[block] += y
@@ -219,15 +219,15 @@ def _forward_gelu_into(layer: AdaptedLinear, x: np.ndarray, out: np.ndarray) -> 
     return RetainedActivations(x_full, x_low)
 
 
-def _merged(layer: AdaptedLinear) -> np.ndarray:
-    """W + alpha * A @ B: W itself without an adapter, else a fresh array, bit
-    for bit the plain expression, built in the product's buffer. Forward
-    multiplies by it and backward by its transposed view."""
+def _merged(layer: AdaptedLinear, rows: slice = slice(None)) -> np.ndarray:
+    """Rows of W + alpha * A @ B, all by default: W's own without an adapter,
+    else a fresh array, bit for bit the plain expression's rows, built in
+    the product's buffer."""
     if not layer.mode.has_adapter:
-        return layer.w
-    w_eff = layer.a @ layer.b
+        return layer.w[rows]
+    w_eff = layer.a[rows] @ layer.b
     w_eff *= layer.alpha
-    w_eff += layer.w
+    w_eff += layer.w[rows]
     return w_eff
 
 
@@ -246,6 +246,8 @@ def backward(
     retained activations before dx and the merged weight exist, and one that
     keeps kept may reuse it. dx = dy (W + alpha A B)^T, rebuilt from the A
     and B forward used, so nothing but the mode's activations is retained.
+    An adapter mode builds the merged weight in tiles of ops.ROWS rows, one
+    GEMM each into its column block of dx, so it is never whole beside dx.
     With input_grad false nothing below the layer trains, dx is dead:
     neither it nor the merged weight is built, and None comes back in its
     place. Parameter gradients fold the leading dims without averaging
@@ -267,10 +269,21 @@ def backward(
     try:
         grads = {name: _GRADIENTS[name](layer, kept, dy2) for name in layer.mode.trains}
         del kept
-        dx = matmul(dy, _merged(layer).T) if input_grad else None
+        dx = _input_grad(layer, dy) if input_grad else None
     except RuntimeWarning as exc:
         raise NumericsError(f"backward: {exc}") from exc
     return dx, grads
+
+
+def _input_grad(layer: AdaptedLinear, dy: np.ndarray) -> np.ndarray:
+    """dy (W + alpha A B)^T, as backward describes it."""
+    if not layer.mode.has_adapter:
+        return matmul(dy, layer.w.T)
+    dx = np.empty(dy.shape[:-1] + (layer.d_in,))
+    for lo in range(0, layer.d_in, ops.ROWS):
+        rows = slice(lo, lo + ops.ROWS)
+        matmul(dy, _merged(layer, rows).T, out=_fold(dx)[:, rows])
+    return dx
 
 
 # backward's rule per trainable tensor; dy2 is dy with its leading dims folded.

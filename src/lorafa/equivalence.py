@@ -19,7 +19,8 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DimensionError, ModeError, NumericsError, require_array_size, require_number
+from .errors import (INDEX_MAX, DimensionError, ModeError, NumericsError, require_array_size,
+                     require_number)
 from .optim import SGDConfig, sgd_step
 from .rng import RngState, randn
 
@@ -82,7 +83,7 @@ def estimate_unbiasedness(d: int, r: int, num_samples: int, rng: RngState) -> fl
     unit-variance normals.
     """
     for name, value in (("d", d), ("r", r), ("num_samples", num_samples)):
-        require_number(name, value, integral=True, at_least=1)
+        require_number(name, value, integral=True, at_least=1, at_most=INDEX_MAX)
     chunk = min(num_samples, 20000)
     require_array_size("A A^T", d * d)
     acc = np.zeros((d, d))

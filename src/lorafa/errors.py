@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-INDEX_MAX = np.iinfo(np.intp).max  # numpy's index range, the bound on every array size
+INDEX_MAX = np.iinfo(np.intp).max  # numpy's index range: bounds every array size and loop count
 
 
 class LorafaError(Exception):
@@ -49,9 +49,9 @@ class ReconciliationError(LorafaError):
 
 
 def require_number(name: str, value, integral: bool = False, at_least=None,
-                   positive: bool = False) -> None:
+                   positive: bool = False, at_most=None) -> None:
     """ParameterError unless value is an integer (if integral) or a finite real,
-    at least at_least if given, and above 0 if positive.
+    at least at_least and at most at_most if given, and above 0 if positive.
 
     Config values arrive from JSON files, so a quoted "5", a true, an
     Infinity or an integer beyond the float range must end in a config
@@ -66,6 +66,8 @@ def require_number(name: str, value, integral: bool = False, at_least=None,
     if positive and not value > 0 or at_least is not None and not value >= at_least:
         bound = "positive" if positive else f">= {at_least}"
         raise ParameterError(f"{name} must be {bound}, got {value!r}")
+    if at_most is not None and not value <= at_most:
+        raise ParameterError(f"{name} must be <= {at_most}, got {value!r}")
 
 
 def require_array_size(what: str, elements: int) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import adapters, ops
-from .errors import DimensionError, ModeError, require_number
+from .errors import INDEX_MAX, DimensionError, ModeError, require_number
 from .model import ModelConfig, backward, build_model, forward_loss, trainable_params
 from .rng import RngState, derive, randint, randn
 
@@ -136,7 +136,7 @@ def _require_trainable(mode) -> None:
 def check_primitives(seed: int = 0, trials: int = 20) -> dict[str, float]:
     """Worst relative error per primitive over ``trials`` random shapes (at least
     one: zero would check nothing and still report a worst error of 0)."""
-    require_number("trials", trials, integral=True, at_least=1)
+    require_number("trials", trials, integral=True, at_least=1, at_most=INDEX_MAX)
     results: dict[str, float] = {}
     for case in primitive_checks():
         rng = RngState(seed)
@@ -150,7 +150,7 @@ def check_primitives(seed: int = 0, trials: int = 20) -> dict[str, float]:
 def check_adapter_layer(mode, seed: int = 0, trials: int = 5) -> float:
     """FD-check every gradient an adapted layer emits, via loss = 0.5 ||y||^2."""
     _require_trainable(mode)
-    require_number("trials", trials, integral=True, at_least=1)
+    require_number("trials", trials, integral=True, at_least=1, at_most=INDEX_MAX)
     rng = RngState(seed)
     worst = 0.0
     for _ in range(trials):

@@ -184,8 +184,11 @@ def reconcile(
     """
     for name, value in (("rank", rank), ("b", b), ("s", s)):
         require_number(name, value, integral=True, at_least=1)
-    expected = tape_elements(config, mode, rank, b, s)
     got = measured.elements
+    blocks = len({key.partition(".")[0] for key in got if "." in key})
+    if blocks != config.n_layers:  # before the table of n_layers blocks is built
+        raise ReconciliationError(f"the meter counts {blocks} blocks, the config {config.n_layers}")
+    expected = tape_elements(config, mode, rank, b, s)
     diffs = [
         {"field": key, "expected": expected.get(key), "measured": got.get(key)}
         for key in [*expected, *(k for k in got if k not in expected)]

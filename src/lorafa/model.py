@@ -11,20 +11,22 @@ rule: forward and backward drop every temporary right after its last read,
 and backward consumes the tape, popping every array at its last read, so a
 consumed tape is {}. Last reads come first where the order is free: each
 linear builds its parameter gradients, which read its retained inputs
-last, before its merged weight and dx; each layer norm's vjp takes
-dgamma/dbeta from its upstream and then builds dx in it; both residual
-adds land in the stream. ffn2 runs
-over blocks of ops.ROWS rows (adapters.forward with gelu_into=), adding
-into the residual stream, so its output is never whole, nor, in modes that
-do not retain it (lora-fa, frozen), is GeLU's output (Dao et al., arXiv
-2205.14135, tile so that no full intermediate exists). So a step's
-peak is the tape plus a few temporaries (Chen et al., arXiv 1604.06174,
-section 3), and the meter counts a tape before backward. The tape keeps
-each block's causal attention probabilities packed: the b*h*s(s+1)/2
-entries on and below the diagonal, since the rest are exactly 0, where
-Korthikanti et al. (arXiv 2205.05198, section 4) price the full b*h*s^2
-square. Backward expands them into a zeroed square, bit for bit the
-softmax's output, just before its two reads, so nothing is recomputed.
+last, before its dx; each layer norm's vjp takes dgamma/dbeta from its
+upstream and then builds dx in it; both residual adds land in the stream.
+Tiles keep intermediates from being whole (Dao et al., arXiv 2205.14135):
+ffn2 runs over blocks of ops.ROWS rows (adapters.forward with gelu_into=),
+adding into the residual stream, so its output is never whole, nor, in
+modes that do not retain it (lora-fa, frozen), is GeLU's output; a linear
+builds its dx from row tiles of its merged weight. So a step's peak is the
+tape plus a few temporaries (Chen et al., arXiv 1604.06174, section 3):
+lora-fa's is at the last ffn2 dx, which must be whole there, as GeLU's
+input and the residual gradient must. The meter counts a tape before
+backward. The tape keeps each block's causal attention probabilities
+packed: the b*h*s(s+1)/2 entries on and below the diagonal, since the
+rest are exactly 0, where Korthikanti et al. (arXiv 2205.05198, section 4)
+price the full b*h*s^2 square. Backward expands them into a zeroed
+square, bit for bit the softmax's output, just before its two reads, so
+nothing is recomputed.
 
 Blocks are pre-norm: x + attn(ln(x)), x + ffn(ln(x)), with a final
 layernorm and an output head tied to the (frozen-in-adapter-modes) token
@@ -43,7 +45,8 @@ import numpy as np
 
 from . import adapters, ops
 from .adapters import AdaptedLinear, Mode
-from .errors import DataError, DimensionError, NumericsError, ParameterError, require_number
+from .errors import (DataError, DimensionError, NumericsError, ParameterError,
+                     require_array_size, require_number)
 from .rng import RngState, derive, randn
 
 IGNORE_TARGET = -1
@@ -142,10 +145,11 @@ def build_model(
     if rng is None:
         rng = RngState(0)
     check_rank(config, mode, rank)
+    d, d_ff = config.d, config.d_ff
+    require_array_size("the largest weight", max(d * d_ff, config.vocab * d))  # before 1 / sqrt(d)
     rng_w = derive(rng, "weights")
     rng_a = derive(rng, "adapters")
     rng_e = derive(rng, "embeddings")
-    d, d_ff = config.d, config.d_ff
     tok_emb = randn((config.vocab, d), rng_e, std=1.0 / np.sqrt(d))
     pos_emb = randn((config.seq_len, d), rng_e, std=1.0 / np.sqrt(d))
     blocks = []

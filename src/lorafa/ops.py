@@ -13,22 +13,22 @@ gradient backward returns, which every product reaches; and ``qr``,
 kernels compute through NaN/Inf, with numpy's RuntimeWarning; a caller that
 turns warnings into errors gets a NumericsError instead.
 
-No operation writes into its arguments: the tape retains forward inputs
-and outputs for backward. The two exceptions are the ``out=`` of
-``gelu_vjp`` and of ``layer_norm_vjp``, which a caller may point at a dead
-gradient, upstream included; neither writes into anything unless a caller
-passes one. The elementwise kernels (GeLU, layer norm, softmax) write each
-intermediate into a buffer they allocated themselves, with ``out=``,
-applying the same operations in the same order and association as the
-plain numpy expression, so results are bit for bit the same. GeLU and its
-vjp, whose chains of a dozen passes over a multi-MB activation would
-otherwise stream through memory, run over flat blocks sized to stay in L2:
-a kernel's scratch rows total ``BLOCK`` elements, so gelu_vjp's four rows
-take BLOCK // 4 elements of each operand per pass; inputs up to one pass
-take a single one. Layer norm and softmax are not blocked: their row
-reductions (and the whole-array column sums of dgamma/dbeta, whose
-summation order blocking would change) see the whole array, and their
-arrays are small enough to stay cached.
+No operation writes into its arguments: the tape retains forward inputs and
+outputs for backward. The three exceptions are the ``out=`` of ``gelu_vjp``
+and ``layer_norm_vjp``, which a caller may point at a dead gradient,
+upstream included, and of ``matmul``, which it points at part of an array
+it fills; none writes into anything unless a caller passes one. The
+elementwise kernels (GeLU, layer norm, softmax) write each intermediate
+into a buffer they allocated themselves, with ``out=``, applying the same
+operations in the same order and association as the plain numpy expression,
+so results are bit for bit the same. GeLU and its vjp, whose chains of a
+dozen passes over a multi-MB activation would otherwise stream through
+memory, run over flat blocks sized to stay in L2: a kernel's scratch rows
+total ``BLOCK`` elements, so gelu_vjp's four rows take BLOCK // 4 elements
+of each operand per pass; inputs up to one pass take a single one. Layer
+norm and softmax are not blocked: their row reductions (and the whole-array
+column sums of dgamma/dbeta, whose summation order blocking would change)
+see the whole array, and their arrays are small enough to stay cached.
 """
 
 from __future__ import annotations
@@ -114,13 +114,15 @@ def ensure_finite(x: np.ndarray, what: str = "result") -> np.ndarray:
 
 
 @_op
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Product of a (..., k) activation and a 2-d (k, n) weight.
 
     The leading dimensions of ``a`` are folded into one (rows, k) @ (k, n)
     GEMM, not numpy's stacked per-batch products, written into a fresh
     buffer of the result's shape, so the result owns its memory and a tape
-    retaining it keeps nothing else alive.
+    retaining it keeps nothing else alive; or into ``out``, which comes
+    back: a float (rows, n) view with unit column stride, such as a column
+    block of a C-contiguous array, which BLAS writes like a whole array.
     """
     if a.ndim < 2 or b.ndim != 2:
         raise DimensionError(
@@ -130,8 +132,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    out = np.empty(a.shape[:-1] + b.shape[1:])
     rows = math.prod(a.shape[:-1])
+    if out is not None and (not isinstance(out, np.ndarray) or out.dtype.kind != "f"
+                            or out.shape != (rows, b.shape[1]) or out.strides[1] != out.itemsize):
+        raise DimensionError(f"matmul out must be a float {(rows, b.shape[1])} array "
+                             "with unit column stride")
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[1:])
     np.matmul(a.reshape(rows, a.shape[-1]), b, out=out.reshape(rows, b.shape[1]))
     return out
 

@@ -267,9 +267,9 @@ def test_backward_computes_only_live_gradients(monkeypatch, mode):
         norms.append(out)
         return out
 
-    def spy_matmul(a, b):
+    def spy_matmul(a, b, **kwargs):
         matmuls.append(a.shape)
-        return real_matmul(a, b)
+        return real_matmul(a, b, **kwargs)
 
     monkeypatch.setattr(adapters, "backward", spy_backward)
     monkeypatch.setattr(ops, "layer_norm_vjp", spy_vjp)
@@ -303,10 +303,10 @@ def test_ffn2_input_dies_before_its_dx(monkeypatch, mode):
     alive = []
     real_matmul = adapters.matmul
 
-    def spy_matmul(a, b):
+    def spy_matmul(a, b, **kwargs):
         if b.shape == (CFG.d, CFG.d_ff):  # ffn2's dx = dy (W + alpha A B)^T
             alive.append(inputs[len(alive)]() is not None)
-        return real_matmul(a, b)
+        return real_matmul(a, b, **kwargs)
 
     monkeypatch.setattr(adapters, "matmul", spy_matmul)
     backward(m, tape)

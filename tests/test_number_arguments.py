@@ -82,6 +82,8 @@ PROBES = {
     "init_adapter(0, 4, ...)": lambda: init_adapter(0, 4, 1, None, Mode.FT, RngState(0)),
     "init_adapter(rank='2')": lambda: init_adapter(4, 4, "2", None, Mode.LORA, RngState(0)),
     "build_model(alpha='x')": lambda: build_model(CFG, Mode.LORA, 2, "x"),
+    "build_model(d=10**400)": lambda: build_model(
+        ModelConfig(d=10**400, n_layers=1, n_heads=1, vocab=4, seq_len=4), Mode.FROZEN),
     "gen_task(vocab=10**400)": lambda: gen_task("copy", 10**400, 8, 4, 0),
     "gen_task(seq_len=10**400)": lambda: gen_task("copy", 12, 10**400, 4, 0),
     "gen_task(n_examples=10**400)": lambda: gen_task("char-lm", 12, 8, 10**400, 0),
@@ -106,10 +108,10 @@ def test_a_probed_bad_number_is_a_parameter_error(call):
 # --- the draw table ---------------------------------------------------------------
 
 # Parameter kinds. A size counts the elements of an array the call allocates,
-# and errors.require_array_size bounds it by numpy's index range, so integers
-# beyond that range and the float range are drawn for it. A loop count bounds
-# work, which no rule bounds from above, so no integer beyond the float range
-# is drawn for it. An optional parameter takes None as its default.
+# and errors.require_array_size bounds it by numpy's index range; a loop count
+# bounds work, and is bounded by the same INDEX_MAX. Integers beyond that range
+# and the float range are drawn for both. An optional parameter takes None as
+# its default.
 INT, SIZE, LOOP, FLOAT, OPT_INT, OPT_FLOAT = "int", "size", "loop", "float", "int?", "float?"
 INTEGRAL = (INT, SIZE, LOOP, OPT_INT)
 
@@ -175,8 +177,8 @@ BEYOND_INDEX = st.sampled_from([INDEX_MAX + 1, 2**80])
 
 def bad_values(kind: str):
     """str, bool, None (where it is not the default), a float where an int is
-    expected, NaN, +-Inf, an integer beyond the float range (but for a loop
-    count), one beyond numpy's index range (for a size), a negative number and 0."""
+    expected, NaN, +-Inf, an integer beyond the float range, one beyond numpy's
+    index range (for a size or a loop count), a negative number and 0."""
     integral = kind in INTEGRAL
     return st.one_of(
         st.text(max_size=4), st.booleans(), st.just(float("nan")), st.sampled_from([INF, -INF]),
@@ -185,8 +187,8 @@ def bad_values(kind: str):
         st.just(0), st.just(0.0),
         st.none() if kind not in (OPT_INT, OPT_FLOAT) else st.nothing(),
         st.floats(allow_nan=False, allow_infinity=False) if integral else st.nothing(),
-        BEYOND_FLOAT if kind != LOOP else st.nothing(),
-        BEYOND_INDEX if kind == SIZE else st.nothing(),
+        BEYOND_FLOAT,
+        BEYOND_INDEX if kind in (SIZE, LOOP) else st.nothing(),
     )
 
 
@@ -197,7 +199,7 @@ def always_bad(value, kind: str) -> bool:
     if isinstance(value, float):
         return kind in INTEGRAL or not math.isfinite(value)
     return (kind in (FLOAT, OPT_FLOAT) and abs(value) > sys.float_info.max
-            or kind == SIZE and value > INDEX_MAX)
+            or kind in (SIZE, LOOP) and value > INDEX_MAX)
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)

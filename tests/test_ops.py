@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -43,6 +44,34 @@ def test_matmul_folds_leading_dims_into_one_product(lead, transposed):
     assert out.shape == lead + (11,)
     assert np.array_equal(out, folded.reshape(out.shape))
     assert out.base is None and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("lead", [(512,), (8, 64)])
+def test_matmul_into_a_column_block_gives_the_fresh_products_bytes(lead):
+    # adapters.backward writes each tile of the merged weight's product into
+    # its column block of dx, and must get the whole product's bits.
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(lead + (128,))
+    tile = rng.standard_normal((128, 128))
+    rows = math.prod(lead)
+    dx = np.zeros((rows, 512))
+    block = dx[:, 128:256]
+    assert ops.matmul(a, tile.T, out=block) is block
+    assert block.tobytes() == ops.matmul(a, tile.T).reshape(rows, 128).tobytes()
+    assert not dx[:, :128].any() and not dx[:, 256:].any()
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((6, 4)),             # shape: the product is (6, 5)
+    np.empty((2, 3, 5)),          # shape: out takes the folded rows
+    np.empty((6, 5), dtype=np.int64),
+    np.empty((6, 10))[:, ::2],    # column stride 2
+    np.empty((5, 6)).T,           # column stride 6
+    [[0.0] * 5] * 6,
+])
+def test_matmul_rejects_an_out_it_cannot_write(out):
+    with pytest.raises(DimensionError, match="out"):
+        ops.matmul(np.ones((2, 3, 4)), np.ones((4, 5)), out=out)
 
 
 def test_matmul_shape_mismatch():
